@@ -42,9 +42,11 @@ from .priors import VolatilityDiagnostics, VsConfig, eb_hyperparams, sample_meth
 from .returns import (
     PortfolioWeights,
     ReturnWindow,
+    RollingMoments,
     SampleStats,
     equal_weights,
     portfolio_return,
+    rolling_moments,
     sample_stats,
     short_window_std,
 )
@@ -71,6 +73,8 @@ __all__ = [
     "SampleStats",
     "sample_stats",
     "short_window_std",
+    "RollingMoments",
+    "rolling_moments",
     "portfolio_return",
     "equal_weights",
     # student-t

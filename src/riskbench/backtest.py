@@ -1,11 +1,19 @@
 """Rolling-window forecast evaluation, hit sequences, and the Basel
 traffic-light classification.
 
-The engine walks a return history one day at a time, refits the configured
-estimator on the trailing window, and records the next-day VaR forecast; the
-realized returns are never visible to the forecast for their own day. The
-exceedance count is then scored against the binomial null and classified
-Green / Amber / Red at the 95% and 99.99% cumulative-probability thresholds.
+For every evaluation day the configured estimators are fit on the trailing
+window and priced for the next day; the realized return of a day is never
+visible to its own forecast. The engine is batched: the moments of every
+trailing window are computed in one pass (:func:`rolling_moments`) and shared
+by all methods, and each estimator's ``batch_estimates`` maps them to all
+days' forecasts as one array program. (Days are taken in memory-bounded
+segments; at the README shape one segment holds them all.) The per-day scalar path, each estimator's
+``day_estimates`` on one :class:`ReturnWindow` at a time, is the reference.
+It runs instead for objects that only define ``day_estimates``, and for a
+method whose batched checks fail, so that method raises exactly the scalar
+error of its first bad day. The exceedance count is then scored against the
+binomial null and classified Green / Amber / Red at the 95% and 99.99%
+cumulative-probability thresholds.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ import numpy as np
 
 from .conjugate import RiskEstimate, RiskMeasure
 from .errors import DimensionError, ParameterError, ValidationError
-from .returns import PortfolioWeights, ReturnWindow
+from .estimators import BatchCheckFailed
+from .returns import PortfolioWeights, ReturnWindow, rolling_moments
 
 __all__ = [
     "Zone",
@@ -37,6 +46,10 @@ __all__ = [
 
 GREEN_THRESHOLD = 0.95
 RED_THRESHOLD = 0.9999
+# Memory budget for one segment's (days, k, k) moment arrays. The README
+# shape (k = 5) fits all its days in one segment; at k = 50 a segment holds
+# 52 days, which keeps the batched engine's temporaries to a few megabytes.
+_SEGMENT_BYTES = 1 << 20
 
 
 class Zone(str, Enum):
@@ -99,29 +112,80 @@ class RollingConfig:
         object.__setattr__(self, "measure", RiskMeasure(self.measure))
 
 
-def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, method):
-    """Day-ahead forecasts over a return history.
-
-    For each day t in [window+1, T0] (1-based), the estimator is refit on rows
-    [t-window, t-1] and the day-t estimates at every configured level are
-    emitted as ``(t, RiskEstimate)`` pairs, day-major in level order.
-    """
+def _as_matrix(returns) -> np.ndarray:
     returns = np.asarray(returns, dtype=float)
-    if returns.ndim == 1:
-        returns = returns[:, None]
-    t0 = returns.shape[0]
-    if t0 <= cfg.window:
+    return returns[:, None] if returns.ndim == 1 else returns
+
+
+def _check_method(returns: np.ndarray, cfg: RollingConfig, method) -> None:
+    if returns.shape[0] <= cfg.window:
         raise ValidationError(
-            f"history length {t0} must exceed the rolling window {cfg.window}"
+            f"history length {returns.shape[0]} must exceed the rolling window {cfg.window}"
         )
     method.validate(cfg.window, returns.shape[1])
-    out: list[tuple[int, RiskEstimate]] = []
-    asset_ids = tuple(f"a{i + 1}" for i in range(returns.shape[1]))
-    for t in range(cfg.window, t0):
-        window = ReturnWindow(data=returns[t - cfg.window:t], asset_ids=asset_ids)
-        for est in method.day_estimates(window, weights, cfg.levels, (cfg.measure,)):
-            out.append((t + 1, est))
+
+
+def _day_by_day(returns, weights, cfg: RollingConfig, methods, measures, asset_ids) -> np.ndarray:
+    """Scalar reference engine: each method's ``day_estimates`` on one
+    trailing window at a time, day-major, so the first bad day raises.
+    Returns ``(days, methods, levels, measures)``."""
+    shape = (len(cfg.levels), len(measures))
+    out = np.empty((returns.shape[0] - cfg.window, len(methods)) + shape)
+    for day, t in enumerate(range(cfg.window, returns.shape[0])):
+        window = ReturnWindow.from_matrix(returns[t - cfg.window:t], asset_ids)
+        for j, method in enumerate(methods):
+            estimates = method.day_estimates(window, weights, cfg.levels, measures)
+            out[day, j] = np.reshape([est.value for est in estimates], shape)
     return out
+
+
+def _batched(returns, weights, cfg: RollingConfig, methods, measures) -> list:
+    """Each method's ``(days, levels, measures)`` forecasts from the batched
+    engine, or None for a method with no ``batch_estimates`` or whose
+    batched checks fail on some day.
+
+    Days are taken in segments whose ``(days, k, k)`` moment arrays fit in
+    ``_SEGMENT_BYTES``; each segment's moments are computed once and shared
+    by every method.
+    """
+    t0, k = returns.shape
+    parts = {
+        j: [] for j, m in enumerate(methods)
+        if hasattr(m, "batch_estimates") and weights.k == k
+    }
+    if not parts:
+        return [None] * len(methods)
+    step = max(1, _SEGMENT_BYTES // (8 * k * k))
+    for start in range(0, t0 - cfg.window, step):
+        moments = rolling_moments(returns[start:start + step + cfg.window], cfg.window)
+        for j in list(parts):
+            try:
+                parts[j].append(methods[j].batch_estimates(moments, weights, cfg.levels, measures))
+            except BatchCheckFailed:
+                del parts[j]
+    return [np.concatenate(parts[j]) if j in parts else None for j in range(len(methods))]
+
+
+def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, method,
+                      asset_ids=None):
+    """Day-ahead forecasts over a return history.
+
+    For each day t in [window+1, T0] (1-based), the estimator is fit on rows
+    [t-window, t-1] and the day-t estimates at every configured level are
+    emitted as ``(t, RiskEstimate)`` pairs, day-major in level order.
+    ``asset_ids`` label the columns in error messages (default ``a1..ak``).
+    """
+    returns = _as_matrix(returns)
+    _check_method(returns, cfg, method)
+    measures = (cfg.measure,)
+    [values] = _batched(returns, weights, cfg, [method], measures)
+    if values is None:
+        values = _day_by_day(returns, weights, cfg, [method], measures, asset_ids)[:, 0]
+    return [
+        (cfg.window + day + 1, RiskEstimate(cfg.measure, alpha, float(value), method.label))
+        for day, row in enumerate(values[:, :, 0])
+        for alpha, value in zip(cfg.levels, row)
+    ]
 
 
 def hit_sequence(forecasts, realized_portfolio_returns) -> HitSequence:
@@ -201,61 +265,70 @@ def realized_portfolio_returns(returns, weights: PortfolioWeights, start_day: in
     return returns[start_day - 1:] @ weights.w
 
 
-def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, methods):
+def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,
+                    asset_ids=None):
     """Daily VaR and CVaR series for plotting or export.
 
     For each evaluation day (window+1 .. T0, 1-based) every method is fit
     once and priced at each configured level for both measures. Returns a
     list of ``(day, realized_return, estimates)`` with ``estimates`` a dict
-    keyed by ``(method_label, alpha, measure)``.
+    keyed by ``(method_label, alpha, measure)``. A failing day raises, as the
+    day-major scalar loop would: the first bad day, first method on it.
     """
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim == 1:
-        returns = returns[:, None]
-    t0, k = returns.shape
-    if t0 <= cfg.window:
-        raise ValidationError(
-            f"history length {t0} must exceed the rolling window {cfg.window}"
-        )
+    returns = _as_matrix(returns)
     for method in methods:
-        method.validate(cfg.window, k)
+        _check_method(returns, cfg, method)
     measures = (RiskMeasure.VAR, RiskMeasure.CVAR)
-    asset_ids = tuple(f"a{i + 1}" for i in range(k))
-    out = []
-    for t in range(cfg.window, t0):
-        window = ReturnWindow(data=returns[t - cfg.window:t], asset_ids=asset_ids)
-        estimates: dict[tuple[str, float, RiskMeasure], float] = {}
-        for method in methods:
-            for est in method.day_estimates(window, weights, cfg.levels, measures):
-                estimates[(est.method, est.alpha, est.measure)] = est.value
-        realized = float(returns[t] @ weights.w)
-        out.append((t + 1, realized, estimates))
-    return out
+    values = _batched(returns, weights, cfg, methods, measures)
+    scalar = [j for j, v in enumerate(values) if v is None]
+    if scalar:
+        per_day = _day_by_day(returns, weights, cfg, [methods[j] for j in scalar], measures,
+                              asset_ids)
+        for i, j in enumerate(scalar):
+            values[j] = per_day[:, i]
+    keys = [(m.label, a, measure) for m in methods for a in cfg.levels for measure in measures]
+    days = returns.shape[0] - cfg.window
+    flat = np.stack(values, axis=1).reshape(days, -1) if methods else np.empty((days, 0))
+    return [
+        (t + 1, float(returns[t] @ weights.w), dict(zip(keys, row.tolist())))
+        for t, row in zip(range(cfg.window, returns.shape[0]), flat)
+    ]
 
 
-def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods):
+def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,
+                 asset_ids=None):
     """Rolling backtest of several estimators over one return history.
 
     Returns ``(reports, failures)``: one report per (method, level) for every
     method that ran, and a list of ``(label, error)`` pairs for methods whose
-    preconditions failed. A failing method never aborts the others.
+    preconditions failed. A failing method never aborts the others. A day
+    counts as a hit when its realized return falls strictly below the
+    negated VaR forecast.
     """
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim == 1:
-        returns = returns[:, None]
+    returns = _as_matrix(returns)
     realized = realized_portfolio_returns(returns, weights, cfg.window + 1)
+    measures = (cfg.measure,)
+    errors: dict[int, Exception] = {}
+    for j, method in enumerate(methods):
+        try:
+            _check_method(returns, cfg, method)
+        except (ValidationError, ArithmeticError) as exc:
+            errors[j] = exc
+    ready = [j for j in range(len(methods)) if j not in errors]
+    batched = dict(zip(ready, _batched(returns, weights, cfg, [methods[j] for j in ready], measures)))
     reports: list[BacktestReport] = []
     failures: list[tuple[str, Exception]] = []
-    for method in methods:
-        try:
-            forecasts = rolling_forecasts(returns, weights, cfg, method)
-        except (ValidationError, ArithmeticError) as exc:
-            failures.append((method.label, exc))
+    for j, method in enumerate(methods):
+        values = batched.get(j)
+        if j in batched and values is None:
+            try:
+                values = _day_by_day(returns, weights, cfg, [method], measures, asset_ids)[:, 0]
+            except (ValidationError, ArithmeticError) as exc:
+                errors[j] = exc
+        if j in errors:
+            failures.append((method.label, errors[j]))
             continue
-        for alpha in cfg.levels:
-            per_level = [(day, est) for day, est in forecasts if est.alpha == alpha]
-            hits = hit_sequence(per_level, realized)
-            reports.append(
-                traffic_light(hits.exceedances, hits.days, alpha, method=method.label)
-            )
+        exceedances = (realized[:, None] < -values[:, :, 0]).sum(axis=0)
+        for alpha, count in zip(cfg.levels, exceedances):
+            reports.append(traffic_light(int(count), len(realized), alpha, method=method.label))
     return reports, failures

@@ -77,36 +77,49 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-def _cfg_get(cfg: configparser.ConfigParser, section: str, key: str, flag_value, default):
-    """Resolution order: explicit flag, config file value, default."""
+def _floats(raw) -> tuple[float, ...]:
+    """Numbers separated by commas and/or whitespace."""
+    return tuple(float(p) for p in str(raw).replace(",", " ").split())
+
+
+_KIND_NAMES = {int: "an integer", float: "a number", _floats: "a list of numbers"}
+
+
+def _cfg_get(cfg: configparser.ConfigParser, section: str, key: str, flag_value, default,
+             kind=None):
+    """Resolution order: explicit flag, config file value, default.
+
+    ``kind`` (``int``, ``float`` or ``_floats``) converts the value; a value
+    it rejects is a :class:`ValidationError` naming ``section.key``.
+    """
     if flag_value is not None:
-        return flag_value
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    return default
+        raw = flag_value
+    elif cfg.has_option(section, key):
+        raw = cfg.get(section, key)
+    else:
+        raw = default
+    if kind is None or raw is None:
+        return raw
+    try:
+        return kind(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{section}.{key} must be {_KIND_NAMES[kind]}, got {raw!r}"
+        ) from None
 
 
 def _resolve_seed(cfg: configparser.ConfigParser, section: str, flag_value) -> int:
-    raw = _cfg_get(cfg, section, "seed", flag_value, None)
-    if raw is None:
-        raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    seed = _cfg_get(cfg, section, "seed", flag_value, None, int)
+    if seed is not None:
+        return seed
+    raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
     try:
         return int(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"seed must be an integer, got {raw!r}") from None
-
-
-def _float_list(raw, what: str) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(v) for v in raw)
-    try:
-        return tuple(float(p) for p in str(raw).replace(",", " ").split())
     except ValueError:
-        raise ValidationError(f"cannot parse {what} from {raw!r}") from None
+        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _vector(raw, k: int, what: str) -> np.ndarray:
-    values = _float_list(raw, what)
+def _vector(values: tuple[float, ...], k: int, what: str) -> np.ndarray:
     if len(values) == 1:
         return np.full(k, values[0])
     if len(values) != k:
@@ -131,14 +144,13 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
     """
     section = f"scenario.{scenario}"
 
-    def get(key, default):
-        return cfg.get(section, key) if cfg.has_option(section, key) else default
+    def get(key, default, kind=_floats):
+        return _cfg_get(cfg, section, key, None, default, kind)
 
-    mean = _vector(get("mean", "0.0005"), k, "mean")
-    rho = float(get("correlation", "0.3"))
-    corr = _correlation_matrix(rho, k)
+    mean = _vector(get("mean", "0.0005"), k, f"{section}.mean")
+    corr = _correlation_matrix(get("correlation", "0.3", float), k)
     if scenario in ("mvn", "pmvn"):
-        vol = _vector(get("vol", "0.01"), k, "vol")
+        vol = _vector(get("vol", "0.01"), k, f"{section}.vol")
         if (vol <= 0).any():
             raise ValidationError("vol entries must be positive")
         sigma = corr * np.outer(vol, vol)
@@ -147,19 +159,19 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
             return base
         return PmvnParams(
             base=base,
-            period_lengths=tuple(int(v) for v in _float_list(get("period_lengths", "3,4,5"), "period_lengths")),
-            regime_probs=_float_list(get("regime_probs", "0.05,0.9,0.05"), "regime_probs"),
-            low_scale_range=_float_list(get("low_scale", "0.5,0.7"), "low_scale"),
-            high_scale_range=_float_list(get("high_scale", "1.5,3.0"), "high_scale"),
+            period_lengths=tuple(int(v) for v in get("period_lengths", "3,4,5")),
+            regime_probs=get("regime_probs", "0.05,0.9,0.05"),
+            low_scale_range=get("low_scale", "0.5,0.7"),
+            high_scale_range=get("high_scale", "1.5,3.0"),
         )
     return DccParams(
         mu=mean,
-        omega=_vector(get("omega", "5e-6"), k, "omega"),
-        a=_vector(get("arch", "0.05"), k, "arch"),
-        b=_vector(get("garch", "0.9"), k, "garch"),
+        omega=_vector(get("omega", "5e-6"), k, f"{section}.omega"),
+        a=_vector(get("arch", "0.05"), k, f"{section}.arch"),
+        b=_vector(get("garch", "0.9"), k, f"{section}.garch"),
         qbar=corr,
-        theta1=float(get("theta1", "0.05")),
-        theta2=float(get("theta2", "0.9")),
+        theta1=get("theta1", "0.05", float),
+        theta2=get("theta2", "0.9", float),
     )
 
 
@@ -196,8 +208,8 @@ def cmd_simulate(args) -> int:
     scenario = str(_cfg_get(cfg, "simulate", "scenario", args.scenario, "mvn")).lower()
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-    k = int(_cfg_get(cfg, "simulate", "k", args.k, DEFAULT_K))
-    t0 = int(_cfg_get(cfg, "simulate", "t", args.t, DEFAULT_T0))
+    k = _cfg_get(cfg, "simulate", "k", args.k, DEFAULT_K, int)
+    t0 = _cfg_get(cfg, "simulate", "t", args.t, DEFAULT_T0, int)
     seed = _resolve_seed(cfg, "simulate", args.seed)
     start_raw = str(_cfg_get(cfg, "simulate", "start_date", args.start_date, DEFAULT_START_DATE))
     try:
@@ -255,31 +267,32 @@ class _BacktestJob:
     weights: PortfolioWeights
     rolling: RollingConfig
     methods: tuple
+    asset_ids: tuple[str, ...]
     timing: bool
 
 
 def _run_replication(job: _BacktestJob):
+    """Backtest every method on one replication. With ``timing``, each row's
+    ``runtime_ms`` is the wall time of the replication's whole backtest (all
+    methods, which share one set of rolling moments), excluding simulation."""
     returns = job.returns if job.returns is not None else simulate(job.request)
-    rows = []
-    failures = []
-    for method in job.methods:
-        t_start = time.perf_counter()
-        reports, fails = run_backtest(returns, job.weights, job.rolling, [method])
-        elapsed_ms = int(round((time.perf_counter() - t_start) * 1000)) if job.timing else 0
-        failures.extend((job.replication, label, str(exc)) for label, exc in fails)
-        for report in reports:
-            rows.append(
-                {
-                    "replication": job.replication,
-                    "portfolio": 0,
-                    "method": report.method,
-                    "alpha": report.alpha,
-                    "exceedances": report.exceedances,
-                    "cum_prob": report.cum_prob,
-                    "zone": report.zone.value,
-                    "runtime_ms": elapsed_ms,
-                }
-            )
+    t_start = time.perf_counter()
+    reports, fails = run_backtest(returns, job.weights, job.rolling, job.methods, job.asset_ids)
+    elapsed_ms = int(round((time.perf_counter() - t_start) * 1000)) if job.timing else 0
+    failures = [(job.replication, label, str(exc)) for label, exc in fails]
+    rows = [
+        {
+            "replication": job.replication,
+            "portfolio": 0,
+            "method": report.method,
+            "alpha": report.alpha,
+            "exceedances": report.exceedances,
+            "cum_prob": report.cum_prob,
+            "zone": report.zone.value,
+            "runtime_ms": elapsed_ms,
+        }
+        for report in reports
+    ]
     return rows, failures
 
 
@@ -293,8 +306,8 @@ def _resolve_backtest_inputs(cfg, args, command: str):
     if input_path is None and scenario is None:
         raise ValidationError("either an input CSV (--input) or a scenario (--scenario) is required")
 
-    window = int(_cfg_get(cfg, section, "window", args.window, DEFAULT_WINDOW))
-    levels = _float_list(_cfg_get(cfg, section, "levels", args.alpha, DEFAULT_LEVELS), "alpha levels")
+    window = _cfg_get(cfg, section, "window", args.window, DEFAULT_WINDOW, int)
+    levels = _cfg_get(cfg, section, "levels", args.alpha, DEFAULT_LEVELS, _floats)
     rolling = RollingConfig(window=window, levels=levels)
 
     method_specs = args.method or None
@@ -302,11 +315,10 @@ def _resolve_backtest_inputs(cfg, args, command: str):
         method_specs = cfg.get(section, "methods").split()
     if method_specs is None:
         method_specs = DEFAULT_METHODS
-    nr = int(_cfg_get(cfg, section, "nr", args.nr, 4))
-    h = float(_cfg_get(cfg, section, "h", args.h, 2.0))
-    l = float(_cfg_get(cfg, section, "l", args.l, 0.0))
-    r0_raw = _cfg_get(cfg, section, "r0", args.r0, None)
-    r0 = None if r0_raw is None else float(r0_raw)
+    nr = _cfg_get(cfg, section, "nr", args.nr, 4, int)
+    h = _cfg_get(cfg, section, "h", args.h, 2.0, float)
+    l = _cfg_get(cfg, section, "l", args.l, 0.0, float)
+    r0 = _cfg_get(cfg, section, "r0", args.r0, None, float)
     methods = tuple(parse_methods(method_specs, nr=nr, h=h, l=l, r0=r0))
 
     seed = _resolve_seed(cfg, section, args.seed)
@@ -324,8 +336,8 @@ def _resolve_backtest_inputs(cfg, args, command: str):
         scenario = str(scenario).lower()
         if scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-        k = int(_cfg_get(cfg, section, "k", args.k, DEFAULT_K))
-        t0 = int(_cfg_get(cfg, section, "t", args.t, DEFAULT_T0))
+        k = _cfg_get(cfg, section, "k", args.k, DEFAULT_K, int)
+        t0 = _cfg_get(cfg, section, "t", args.t, DEFAULT_T0, int)
         asset_ids = tuple(f"A{i + 1}" for i in range(k))
         params = _scenario_params(cfg, scenario, k)
 
@@ -355,8 +367,8 @@ def cmd_backtest(args) -> int:
     out = _cfg_get(cfg, "backtest", "out", args.out, None)
     if out is None:
         raise ValidationError("backtest needs an output directory (--out)")
-    jobs = max(1, int(_cfg_get(cfg, "backtest", "jobs", args.jobs, 1)))
-    replications = int(_cfg_get(cfg, "backtest", "replications", args.replications, 1))
+    jobs = max(1, _cfg_get(cfg, "backtest", "jobs", args.jobs, 1, int))
+    replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int)
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
     timing = bool(args.timing)
@@ -372,6 +384,7 @@ def cmd_backtest(args) -> int:
                 weights=inputs["weights"],
                 rolling=inputs["rolling"],
                 methods=inputs["methods"],
+                asset_ids=inputs["asset_ids"],
                 timing=timing,
             )
         ]
@@ -390,13 +403,15 @@ def cmd_backtest(args) -> int:
                 weights=inputs["weights"],
                 rolling=inputs["rolling"],
                 methods=inputs["methods"],
+                asset_ids=inputs["asset_ids"],
                 timing=timing,
             )
             for rep in range(replications)
         ]
 
     if jobs > 1 and len(job_list) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool starts all its workers on the first submit: no more than replications.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_list))) as pool:
             results = list(pool.map(_run_replication, job_list))
     else:
         results = [_run_replication(job) for job in job_list]
@@ -476,7 +491,8 @@ def cmd_estimate(args) -> int:
         returns = simulate(request)
         dates = weekday_dates(dt.date.fromisoformat(DEFAULT_START_DATE), inputs["t0"])
 
-    series = estimate_series(returns, inputs["weights"], inputs["rolling"], inputs["methods"])
+    series = estimate_series(returns, inputs["weights"], inputs["rolling"], inputs["methods"],
+                             inputs["asset_ids"])
 
     columns = []
     for method in inputs["methods"]:
@@ -552,7 +568,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimation_flags(p_back)
     p_back.add_argument("--replications", type=int, help="number of simulated replications (default 1)")
     p_back.add_argument("--jobs", type=int, help="worker processes (default 1)")
-    p_back.add_argument("--timing", action="store_true", help="record wall-clock runtime_ms per row")
+    p_back.add_argument(
+        "--timing",
+        action="store_true",
+        help="record runtime_ms: wall time of each replication's backtest, all methods together",
+    )
 
     p_est = sub.add_parser("estimate", help="export daily -VaR/-CVaR series")
     _add_common_flags(p_est)

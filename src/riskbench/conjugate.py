@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import poch
 
 from .errors import (
     DegreesOfFreedomError,
@@ -205,23 +206,31 @@ def var_quantile_factor(df: float, alpha: float) -> float:
 def cvar_quantile_factor(df: float, alpha: float) -> float:
     """Quantile multiplier for CVaR (tail expectation of the t-distribution).
 
-    Requires ``df > 1``; the gamma-function ratio is evaluated with log-gamma
-    so very large df (as produced by aggressive prior inflation) cannot
-    overflow.
+    Requires ``df > 1``; see :func:`_t_es_factor` for the formula.
     """
     alpha = _check_alpha(alpha)
     df = float(df)
     if not df > 1:
         raise DegreesOfFreedomError(f"CVaR multiplier requires df > 1, got {df!r}")
-    d_alpha = t_quantile(df, alpha)
+    return float(_t_es_factor(df, alpha, t_quantile(df, alpha)))
+
+
+def _t_es_factor(df, alpha, q):
+    """CVaR multiplier of the standard t at level ``alpha``, given its alpha
+    quantile ``q``; elementwise over arrays, unchecked (``df > 1``).
+
+    The gamma ratio G((df+1)/2) / G(df/2) is taken from ``poch`` rather than
+    from a difference of log-gammas, which are of size df*log(df)/2 and so
+    lose digits as aggressive prior inflation drives df up (about 1e-9
+    relative at df = 1e6, 1e-3 at 1e12); ``poch`` stays within 3e-11.
+    """
     log_factor = (
-        math.lgamma((df + 1.0) / 2.0)
-        - math.lgamma(df / 2.0)
-        - 0.5 * math.log(math.pi * df)
-        + math.log(df / (df - 1.0))
-        - ((df - 1.0) / 2.0) * math.log1p(d_alpha * d_alpha / df)
+        np.log(poch(df / 2.0, 0.5))
+        - 0.5 * np.log(np.pi * df)
+        + np.log(df / (df - 1.0))
+        - ((df - 1.0) / 2.0) * np.log1p(q * q / df)
     )
-    return math.exp(log_factor) / (1.0 - alpha)
+    return np.exp(log_factor) / (1.0 - alpha)
 
 
 def risk_estimate(

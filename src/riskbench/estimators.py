@@ -2,7 +2,11 @@
 
 Each estimator is an immutable config with a stable ``label`` and a
 ``day_estimates`` method that fits once on a window and prices every
-requested (level, measure) pair from that single fit.
+requested (level, measure) pair from that single fit. That per-day method is
+the scalar reference. ``batch_estimates`` computes the same numbers for every
+evaluation day of a history at once from shared :class:`RollingMoments`; when
+one of its checks fails it raises :class:`BatchCheckFailed`, and the engine
+reruns that method day by day so the scalar path decides and raises.
 """
 
 from __future__ import annotations
@@ -10,10 +14,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .conjugate import RiskEstimate, RiskMeasure, posterior_predictive, risk_estimate
+import numpy as np
+from scipy.special import stdtrit
+
+from .conjugate import RiskMeasure, _t_es_factor, posterior_predictive, risk_estimate
 from .errors import ParameterError
 from .priors import VsConfig, eb_hyperparams, sample_method_estimate, vs_hyperparams
-from .returns import PortfolioWeights, ReturnWindow
+from .returns import PortfolioWeights, ReturnWindow, RollingMoments
+from .studentt import normal_es_factor, normal_quantile
 
 __all__ = [
     "VolatilitySensitive",
@@ -21,7 +29,78 @@ __all__ = [
     "SampleNormal",
     "parse_method",
     "parse_methods",
+    "BatchCheckFailed",
 ]
+
+# Batched checks are stricter than the scalar ones, so that rounding
+# differences between the two paths cannot hide a scalar error: a std within
+# this factor of the degenerate floor, or a Cholesky pivot whose square is
+# below this fraction of its diagonal entry, sends the method to the scalar
+# path, which then decides.
+_FLOOR_MARGIN = 2.0
+_PIVOT_RTOL = 1e-8
+
+
+class BatchCheckFailed(Exception):
+    """A batched check failed; the day-by-day scalar path must decide."""
+
+
+def _require(ok) -> None:
+    if not np.all(ok):
+        raise BatchCheckFailed
+
+
+def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w' M w`` for each matrix of a ``(days, k, k)`` stack."""
+    return (mats @ w) @ w
+
+
+def _cholesky(mats: np.ndarray) -> np.ndarray:
+    """Batched Cholesky factor, or :class:`BatchCheckFailed` unless every
+    matrix is positive definite with room to spare."""
+    try:
+        chol = np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        raise BatchCheckFailed from None
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    _require(pivots * pivots > _PIVOT_RTOL * np.diagonal(mats, axis1=1, axis2=2))
+    return chol
+
+
+def _risk_values(location, scale, factors) -> np.ndarray:
+    """``-location + factor * scale`` as ``(days, levels, measures)``."""
+    return -location[:, None, None] + factors * scale[:, None, None]
+
+
+def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, prior_cov,
+                     r0: float, alphas, measures) -> np.ndarray:
+    """Conjugate predictive risk for every day, with ``m0`` the window mean.
+
+    The batched form of ``ConjugateHyperparams`` -> ``posterior_predictive``
+    -> ``risk_estimate``: ``S0 = (d0-k-1)(n-1)/n * prior_cov``, posterior
+    scale matrix ``(n-1) cov + S0`` (the mean-shift term vanishes because
+    ``m0`` is the sample mean), ``df = n + d0 - 2k``, squared scale
+    ``(n+r0+1)/((n+r0) df) * w' S w`` and location ``w' mean``.
+    """
+    n, k, w = moments.window, weights.k, weights.w
+    s0 = ((d0 - k - 1.0) * (n - 1.0) / n)[:, None, None] * prior_cov
+    _cholesky(s0)  # positive definite, as ConjugateHyperparams requires
+    df = n + d0 - 2 * k
+    _require(df > 0)
+    y = np.einsum("dij,i->dj", _cholesky((n - 1) * moments.cov + s0), w)
+    scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * (y * y).sum(axis=1)
+    _require(scale_sq > 0)
+    alphas = np.asarray(alphas, dtype=float)
+    df = df[:, None]
+    q = stdtrit(df, alphas)
+    factors = []
+    for measure in measures:
+        if RiskMeasure(measure) is RiskMeasure.VAR:
+            factors.append(q)
+        else:
+            _require(df > 1)
+            factors.append(_t_es_factor(df, alphas, q))
+    return _risk_values(moments.mean @ w, np.sqrt(scale_sq), np.stack(factors, axis=-1))
 
 
 def _fmt(x: float) -> str:
@@ -59,6 +138,25 @@ class VolatilitySensitive:
             for measure in measures
         ]
 
+    def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
+        """``day_estimates`` for every day, as ``(days, levels, measures)``."""
+        sigma = moments.std
+        _require(sigma > _FLOOR_MARGIN * moments.floor)
+        ratio = moments.short_std(self.n_r) / sigma
+        cov_recent = moments.cov * ratio[:, :, None] * ratio[:, None, :]
+        v_w = _quad(moments.cov, weights.w)
+        v_rw = _quad(cov_recent, weights.w)
+        _require(v_w > 0)
+        high = np.maximum(1.0, v_rw / v_w) ** self.h
+        low = 1.0
+        if self.l != 0:
+            _require(v_rw > 0)
+            low = np.maximum(1.0, v_w / v_rw) ** self.l
+        n, k = moments.window, weights.k
+        d0 = np.maximum(k + 2.0, n * high * low)
+        r0 = float(n) if self.r0 is None else float(self.r0)
+        return _conjugate_batch(moments, weights, d0, cov_recent, r0, alphas, measures)
+
 
 @dataclass(frozen=True)
 class EmpiricalBayes:
@@ -91,6 +189,13 @@ class EmpiricalBayes:
             for measure in measures
         ]
 
+    def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
+        """``day_estimates`` for every day, as ``(days, levels, measures)``."""
+        n = float(moments.window)
+        d0 = np.full(moments.days, n if self.d0 is None else float(self.d0))
+        r0 = n if self.r0 is None else float(self.r0)
+        return _conjugate_batch(moments, weights, d0, moments.cov, r0, alphas, measures)
+
 
 @dataclass(frozen=True)
 class SampleNormal:
@@ -110,6 +215,17 @@ class SampleNormal:
             for alpha in alphas
             for measure in measures
         ]
+
+    def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
+        """``day_estimates`` for every day, as ``(days, levels, measures)``."""
+        variance = _quad(moments.cov, weights.w)
+        _require(variance > 0)
+        factors = np.array([
+            [normal_quantile(a) if RiskMeasure(m) is RiskMeasure.VAR else normal_es_factor(a)
+             for m in measures]
+            for a in alphas
+        ])
+        return _risk_values(moments.mean @ weights.w, np.sqrt(variance), factors)
 
 
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")

@@ -20,6 +20,7 @@ from .errors import DegenerateAssetError, NumericalError, ParameterError
 from .returns import (
     PortfolioWeights,
     ReturnWindow,
+    _DEGENERATE_ULPS,
     _frozen_array,
     sample_stats,
     short_window_std,
@@ -123,7 +124,7 @@ def vs_hyperparams(
     sigma = short_window_std(window, n, stats.mean)
     # A constant column produces a std at the rounding floor of its own
     # magnitude rather than an exact zero; treat both as degenerate.
-    floor = np.abs(window.data).max(axis=0) * 16.0 * np.finfo(float).eps
+    floor = np.abs(window.data).max(axis=0) * _DEGENERATE_ULPS * np.finfo(float).eps
     zero = np.flatnonzero(sigma <= floor)
     if zero.size:
         raise DegenerateAssetError(

@@ -3,6 +3,8 @@
 A :class:`ReturnWindow` holds the most recent ``n`` daily simple returns of
 ``k`` assets. All values are immutable after construction, so windows and
 derived statistics are safe to share across threads and worker processes.
+:func:`rolling_moments` computes the same statistics for every trailing
+window of a return history at once, for the batched rolling engine.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, ParameterError, ValidationError
 
@@ -19,11 +22,19 @@ __all__ = [
     "SampleStats",
     "sample_stats",
     "short_window_std",
+    "RollingMoments",
+    "rolling_moments",
     "portfolio_return",
     "equal_weights",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
+# Days per block of the rolling moment pass. A block centres a (days, k, n)
+# copy of its windows, so this bounds that temporary for long windows.
+_BLOCK_DAYS = 32
+# A column whose std is at or below this many ulps of its largest magnitude
+# is constant up to rounding: it is degenerate.
+_DEGENERATE_ULPS = 16.0
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -160,6 +171,89 @@ def short_window_std(window: ReturnWindow, n_r: int, long_mean) -> np.ndarray:
     recent = window.data[window.n - n_r:]
     dev = recent - long_mean
     return np.sqrt((dev * dev).sum(axis=0) / (n_r - 1))
+
+
+def _window_blocks(columns: np.ndarray, window: int, rows: int):
+    """Yield ``(day_slice, block)`` over the evaluation days of a history
+    held as ``columns`` (``k x T``, one contiguous row per asset), in blocks
+    of ``_BLOCK_DAYS``. ``block[d]`` is ``(k, rows)``: the last ``rows`` rows
+    of day d's trailing window, contiguous along the rows so reductions
+    over them vectorize."""
+    views = sliding_window_view(columns, window, axis=1)
+    days = columns.shape[1] - window
+    for start in range(0, days, _BLOCK_DAYS):
+        stop = min(start + _BLOCK_DAYS, days)
+        yield slice(start, stop), views[:, start:stop, window - rows:].transpose(1, 0, 2)
+
+
+@dataclass(frozen=True)
+class RollingMoments:
+    """Moments of every trailing window of a return history.
+
+    Day d (0-based) is the window of rows ``[d, d + window)``, which forecasts
+    row ``d + window``. ``mean`` is ``(days, k)``, ``cov`` the unbiased
+    covariance ``(days, k, k)``, ``std`` the per-asset std about the window
+    mean (as :func:`short_window_std` with ``n_r = window``) and ``floor``
+    the degenerate-asset threshold on it. ``columns`` is the history as
+    ``k x T``.
+    """
+
+    columns: np.ndarray
+    window: int
+    mean: np.ndarray
+    cov: np.ndarray
+    std: np.ndarray
+    floor: np.ndarray
+
+    @property
+    def days(self) -> int:
+        return self.mean.shape[0]
+
+    def short_std(self, n_r: int) -> np.ndarray:
+        """:func:`short_window_std` of every window: the last ``n_r`` rows
+        about the whole window's mean. At ``n_r = window`` this is ``std``
+        itself, so a short window of full length matches it bit for bit."""
+        if n_r == self.window:
+            return self.std
+        out = np.empty_like(self.std)
+        for days, block in _window_blocks(self.columns, self.window, n_r):
+            dev = block - self.mean[days, :, None]
+            out[days] = np.sqrt((dev * dev).sum(axis=2) / (n_r - 1))
+        return out
+
+
+def rolling_moments(returns, window: int) -> RollingMoments:
+    """:func:`sample_stats`, the long-window std and the degenerate floor of
+    every trailing ``window``-row window of ``returns`` (``T x k``), for the
+    ``T - window`` evaluation days.
+
+    Each block of days is centred on its own means before any product is
+    formed (two-pass). One-pass forms (prefix sums, sliding updates) cancel
+    catastrophically: on a constant column they leave a std far above the
+    degenerate floor, or negative variances.
+    """
+    returns = np.asarray(returns, dtype=float)
+    if returns.ndim == 1:
+        returns = returns[:, None]
+    t0, k = returns.shape
+    window = int(window)
+    if not 2 <= window < t0:
+        raise ParameterError(f"window {window} outside [2, {t0 - 1}] for a history of {t0} rows")
+    columns = np.ascontiguousarray(returns.T)
+    days = t0 - window
+    mean = np.empty((days, k))
+    cov = np.empty((days, k, k))
+    std = np.empty((days, k))
+    floor = np.empty((days, k))
+    for block_days, block in _window_blocks(columns, window, window):
+        m = block.mean(axis=2)
+        dev = block - m[:, :, None]
+        c = dev @ dev.transpose(0, 2, 1) / (window - 1)
+        mean[block_days] = m
+        cov[block_days] = (c + c.transpose(0, 2, 1)) / 2.0
+        std[block_days] = np.sqrt((dev * dev).sum(axis=2) / (window - 1))
+        floor[block_days] = np.abs(block).max(axis=2) * _DEGENERATE_ULPS * np.finfo(float).eps
+    return RollingMoments(columns=columns, window=window, mean=mean, cov=cov, std=std, floor=floor)
 
 
 def portfolio_return(x, weights: PortfolioWeights) -> float:

@@ -1,18 +1,15 @@
 """Student-t distribution functions used by the closed-form risk formulas.
 
 The CDF is evaluated through the regularized incomplete beta function in its
-tail-stable form, and the quantile is recovered by inverting that CDF with a
-guaranteed bracket plus Newton refinement. The Cauchy (df = 1) and normal
-(df -> inf) quantiles bound the t quantile for df >= 1, which supplies the
-initial bracket; for df < 1 the bracket is grown geometrically.
+tail-stable form; the quantile is scipy's ``stdtrit``, which also serves the
+batched engine elementwise, so both paths share one quantile function.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-from scipy.special import betainc, ndtr, ndtri
+from scipy.special import betainc, ndtr, ndtri, stdtrit
 
 from .errors import DegreesOfFreedomError, ParameterError
 
@@ -25,12 +22,6 @@ __all__ = [
     "normal_pdf",
     "normal_es_factor",
 ]
-
-# Newton/bisection stopping tolerance on the CDF scale. The public contract
-# is 1e-10; we drive the residual well below it.
-_CDF_TOL = 1e-13
-_MAX_ITER = 200
-
 
 def _check_df(df: float) -> float:
     df = float(df)
@@ -74,53 +65,6 @@ def t_pdf(df: float, x: float) -> float:
     return math.exp(log_pdf)
 
 
-def _cauchy_quantile(p: float) -> float:
-    return math.tan(math.pi * (p - 0.5))
-
-
-@lru_cache(maxsize=65536)
-def _t_quantile_upper(df: float, p: float) -> float:
-    """Quantile for p in (0.5, 1), by bracketing + Newton on the CDF residual."""
-    z = float(ndtri(p))
-    c = _cauchy_quantile(p)
-    if df >= 1.0:
-        # Quantiles decrease toward the normal limit as df grows, so the
-        # normal and Cauchy quantiles bracket every df >= 1.
-        lo, hi = z, max(c, z)
-    else:
-        lo, hi = max(c, z), max(c, z) * 2.0 + 1.0
-        while t_cdf(df, hi) < p:
-            lo = hi
-            hi *= 4.0
-            if hi > 1e300:
-                raise ParameterError(f"t quantile overflow for df={df}, p={p}")
-    # Defensive expansion: the bounds above are analytic, but keep the solver
-    # safe against rounding at the bracket edges.
-    while t_cdf(df, lo) > p and lo > 1e-300:
-        lo *= 0.5
-    while t_cdf(df, hi) < p:
-        hi *= 2.0
-
-    x = 0.5 * (lo + hi)
-    for _ in range(_MAX_ITER):
-        res = t_cdf(df, x) - p
-        if abs(res) <= _CDF_TOL:
-            break
-        if res > 0:
-            hi = x
-        else:
-            lo = x
-        pdf = t_pdf(df, x)
-        step_ok = pdf > 0.0 and math.isfinite(pdf)
-        x_new = x - res / pdf if step_ok else 0.5 * (lo + hi)
-        if not (lo <= x_new <= hi):
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    return x
-
-
 def t_quantile(df: float, p: float) -> float:
     """Value q with ``t_cdf(df, q) = p`` to within 1e-10 on the CDF scale."""
     df = _check_df(df)
@@ -130,8 +74,8 @@ def t_quantile(df: float, p: float) -> float:
     if p == 0.5:
         return 0.0
     if p > 0.5:
-        return _t_quantile_upper(df, p)
-    return -_t_quantile_upper(df, 1.0 - p)
+        return float(stdtrit(df, p))
+    return -float(stdtrit(df, 1.0 - p))
 
 
 def normal_quantile(p: float) -> float:

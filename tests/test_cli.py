@@ -205,3 +205,67 @@ def test_weights_file(tmp_path):
                    "--alpha", "0.99", "--method", "sample",
                    "--weights", str(wpath), "--out", str(out)) == 0
     assert len(read_csv(out / "report.csv")) == 2
+
+
+@pytest.mark.parametrize("command, ini, key", [
+    ("backtest", "[backtest]\nwindow = abc\n", "backtest.window"),
+    ("backtest", "[backtest]\njobs = two\n", "backtest.jobs"),
+    ("backtest", "[scenario.pmvn]\ncorrelation = x\n", "scenario.pmvn.correlation"),
+    ("simulate", "[scenario.pmvn]\ncorrelation = x\n", "scenario.pmvn.correlation"),
+    ("simulate", "[simulate]\nt = 1e3\n", "simulate.t"),
+])
+def test_bad_numeric_config_value_exits_2(tmp_path, capsys, command, ini, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(ini)
+    code = run_cli(command, "--config", str(cfg), "--scenario", "pmvn", "--k", "2",
+                   "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_worker_pool_capped_at_replications(tmp_path, monkeypatch):
+    import riskbench.cli as cli
+
+    created = []
+
+    class RecordingPool:
+        """Runs jobs in-process and records the pool size it was asked for."""
+
+        def __init__(self, max_workers=None):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
+                   "--method", "sample", "--replications", "2", "--jobs", "5000",
+                   "--out", str(tmp_path / "o")) == 0
+    assert created == [2]
+    assert len(read_csv(tmp_path / "o" / "report.csv")) == 1 + 2 * 2
+
+
+def test_flat_input_column_is_named_by_its_header(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    import datetime as dt
+
+    from riskbench.dataio import weekday_dates
+
+    lines = ["date,ALPHA,STALE"]
+    for date, value in zip(weekday_dates(dt.date(2021, 1, 1), 270), rng.normal(0, 0.01, 270)):
+        lines.append(f"{date.isoformat()},{value:.10f},0")
+    src = tmp_path / "flat.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--input", str(src), "--window", "250",
+                   "--method", "vs(4,2,0)", "--method", "sample", "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert "method vs(4,2,0) skipped: asset 'STALE' has zero variance" in err
+    assert {row[2] for row in read_csv(out / "report.csv")[1:]} == {"sample"}
