@@ -1,32 +1,18 @@
 """riskbench: portfolio VaR/CVaR estimation with a volatility-sensitive
 conjugate prior, baseline estimators, scenario simulators, and Basel
-traffic-light backtesting."""
+traffic-light backtesting.
+
+The fitting modules (``backtest``, ``conjugate``, ``estimators``, ``priors``,
+``studentt``) import scipy, the slowest import of the package, so their
+names are loaded on first access. ``simulate``, ``returns`` and ``errors``
+are loaded eagerly: ``riskbench simulate`` and ``--version`` never import
+scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .backtest import (
-    BacktestReport,
-    HitSequence,
-    RollingConfig,
-    Zone,
-    binomial_cdf,
-    classify_zone,
-    estimate_series,
-    hit_sequence,
-    rolling_forecasts,
-    run_backtest,
-    traffic_light,
-)
-from .conjugate import (
-    ConjugateHyperparams,
-    PredictiveParams,
-    RiskEstimate,
-    RiskMeasure,
-    cvar_quantile_factor,
-    posterior_predictive,
-    risk_estimate,
-    var_quantile_factor,
-)
 from .errors import (
     DataError,
     DegenerateAssetError,
@@ -37,8 +23,6 @@ from .errors import (
     RiskbenchError,
     ValidationError,
 )
-from .estimators import EmpiricalBayes, SampleNormal, VolatilitySensitive, parse_method, parse_methods
-from .priors import VolatilityDiagnostics, VsConfig, eb_hyperparams, sample_method_estimate, vs_hyperparams
 from .returns import (
     PortfolioWeights,
     ReturnWindow,
@@ -63,7 +47,57 @@ from .simulate import (
     simulate_pmvn,
     simulate_pmvn_detail,
 )
-from .studentt import normal_es_factor, normal_quantile, t_cdf, t_pdf, t_quantile
+
+# Public names of the fitting modules, by submodule; see __getattr__.
+_LAZY_MODULES = {
+    "backtest": (
+        "BacktestReport",
+        "HitSequence",
+        "RollingConfig",
+        "Zone",
+        "binomial_cdf",
+        "classify_zone",
+        "estimate_series",
+        "hit_sequence",
+        "rolling_forecasts",
+        "run_backtest",
+        "traffic_light",
+    ),
+    "conjugate": (
+        "ConjugateHyperparams",
+        "PredictiveParams",
+        "RiskEstimate",
+        "RiskMeasure",
+        "cvar_quantile_factor",
+        "posterior_predictive",
+        "risk_estimate",
+        "var_quantile_factor",
+    ),
+    "estimators": ("EmpiricalBayes", "SampleNormal", "VolatilitySensitive", "parse_method",
+                   "parse_methods"),
+    "priors": ("VolatilityDiagnostics", "VsConfig", "eb_hyperparams", "sample_method_estimate",
+               "vs_hyperparams"),
+    "studentt": ("normal_es_factor", "normal_quantile", "t_cdf", "t_pdf", "t_quantile"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    """Import a fitting module when one of its names (or the submodule
+    itself) is first looked up on the package (PEP 562)."""
+    module = _LAZY_NAMES.get(name, name if name in _LAZY_MODULES else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY_NAMES))
+
 
 __all__ = [
     "__version__",

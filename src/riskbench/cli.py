@@ -21,12 +21,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .backtest import RollingConfig, estimate_series, run_backtest
-from .conjugate import RiskMeasure
 from .dataio import (
     ReturnHistory,
     fmt_number,
@@ -36,7 +35,6 @@ from .dataio import (
     write_returns_csv,
 )
 from .errors import DataError, NumericalError, ValidationError
-from .estimators import parse_methods
 from .returns import PortfolioWeights
 from .simulate import (
     DccParams,
@@ -48,6 +46,9 @@ from .simulate import (
     simulate,
     simulate_pmvn_detail,
 )
+
+if TYPE_CHECKING:
+    from .backtest import RollingConfig
 
 SEED_ENV_VAR = "RISKBENCH_SEED"
 DEFAULT_SEED = 0
@@ -275,6 +276,8 @@ def _run_replication(job: _BacktestJob):
     """Backtest every method on one replication. With ``timing``, each row's
     ``runtime_ms`` is the wall time of the replication's whole backtest (all
     methods, which share one set of rolling moments), excluding simulation."""
+    from .backtest import run_backtest
+
     returns = job.returns if job.returns is not None else simulate(job.request)
     t_start = time.perf_counter()
     reports, fails = run_backtest(returns, job.weights, job.rolling, job.methods, job.asset_ids)
@@ -297,7 +300,16 @@ def _run_replication(job: _BacktestJob):
 
 
 def _resolve_backtest_inputs(cfg, args, command: str):
-    """Shared backtest/estimate input resolution; validates before computing."""
+    """Shared backtest/estimate input resolution; validates before computing.
+
+    The fitting modules, and scipy with them, are imported here and not at
+    module level, so ``simulate`` and ``--version`` never load them. For
+    ``backtest`` this runs before the ``--jobs`` pool forks, so the workers
+    inherit scipy instead of each importing it.
+    """
+    from .backtest import RollingConfig
+    from .estimators import parse_methods
+
     section = command
     input_path = _cfg_get(cfg, section, "input", args.input, None)
     scenario = _cfg_get(cfg, section, "scenario", args.scenario, None)
@@ -471,6 +483,9 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .backtest import estimate_series
+    from .conjugate import RiskMeasure
+
     cfg = _load_config(args.config)
     inputs = _resolve_backtest_inputs(cfg, args, "estimate")
     out = _cfg_get(cfg, "estimate", "out", args.out, None)

@@ -126,17 +126,30 @@ def ingest_returns(path, mode: str = "returns") -> ReturnHistory:
 
 
 def write_returns_csv(path, data, asset_ids, dates) -> None:
-    """Write a return matrix in the ingest format (12 significant digits, LF)."""
+    """Write a return matrix in the ingest format (12 significant digits, LF).
+
+    Every cell is checked to be finite before the file is opened, so a bad
+    matrix leaves an existing file untouched. Each row is formatted with one
+    ``%``-template; ``"%.12g" % x`` gives the same text as :func:`fmt_number`.
+    """
     data = np.asarray(data, dtype=float)
     if data.shape != (len(dates), len(asset_ids)):
         raise ParameterError(
             f"matrix shape {data.shape} does not match {len(dates)} dates x {len(asset_ids)} assets"
         )
+    bad = ~np.isfinite(data)
+    if bad.any():
+        day, col = np.argwhere(bad)[0]
+        raise NumericalError(
+            f"refusing to serialize non-finite value {float(data[day, col])!r} "
+            f"on {dates[day].isoformat()} for asset {asset_ids[col]!r}"
+        )
+    row_format = "%s" + ",%.12g" * len(asset_ids) + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", *asset_ids])
-        for date, row in zip(dates, data):
-            writer.writerow([date.isoformat(), *(fmt_number(v) for v in row)])
+        csv.writer(fh, lineterminator="\n").writerow(["date", *asset_ids])
+        fh.writelines(
+            row_format % (date.isoformat(), *row) for date, row in zip(dates, data.tolist())
+        )
 
 
 def weekday_dates(start: dt.date, count: int) -> tuple[dt.date, ...]:
@@ -156,6 +169,7 @@ def load_weights(spec: str, asset_ids) -> PortfolioWeights:
     if spec == "equal":
         return equal_weights(k)
     weights = {}
+    first_line = {}
     with open(spec, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -167,6 +181,12 @@ def load_weights(spec: str, asset_ids) -> PortfolioWeights:
             if len(row) < 2:
                 raise DataError(f"{spec} line {line_no}: expected 'asset,weight'")
             name = row[0].strip()
+            if name in first_line:
+                raise DataError(
+                    f"{spec} line {line_no}: duplicate weight for asset {name!r}"
+                    f" (first given on line {first_line[name]})"
+                )
+            first_line[name] = line_no
             try:
                 weights[name] = float(row[1])
             except ValueError:

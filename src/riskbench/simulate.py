@@ -290,6 +290,11 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     the correlation recursion starts at ``qbar``; the first ``DCC_BURN_IN``
     steps are discarded so the emitted path starts near the stationary
     regime.
+
+    All ``(t0 + DCC_BURN_IN) x k`` standard normals come from one draw. Row
+    ``t`` is the same stream as a draw of ``k`` normals at step ``t``, so the
+    path is bit-identical to drawing step by step. The recursion itself is
+    sequential, with one Cholesky factorization of the correlation per step.
     """
     params: DccParams = req.params
     if not isinstance(params, DccParams):
@@ -304,28 +309,26 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     h = omega / (1.0 - a - b)
     q = params.qbar.copy()
     qbar_weighted = (1.0 - theta1 - theta2) * params.qbar
-    corr_chol = np.linalg.cholesky(params.qbar) if static_corr else None
+    chol_r = np.linalg.cholesky(params.qbar)
+    diagonal = np.arange(k) * (k + 1)  # flat indices of a (k, k) diagonal
 
-    out = np.empty((total, k))
+    eps = rng.standard_normal((total, k))  # overwritten row by row with the shocks
     for t in range(total):
-        if static_corr:
-            chol_r = corr_chol
-        else:
-            d = np.sqrt(np.diag(q))
-            corr = q / np.outer(d, d)
-            np.fill_diagonal(corr, 1.0)
+        if not static_corr:
+            d = np.sqrt(q.diagonal())
+            corr = q / (d[:, None] * d)
+            corr.flat[diagonal] = 1.0
             try:
                 chol_r = np.linalg.cholesky(corr)
             except np.linalg.LinAlgError:
                 raise NumericalError(
                     "correlation recursion lost positive definiteness"
                 ) from None
-        u = rng.standard_normal(k)
         vol = np.sqrt(h)
-        eps = vol * (chol_r @ u)
-        out[t] = params.mu + eps
-        z = eps / vol
-        h = omega + a * eps * eps + b * h
+        e = vol * (chol_r @ eps[t])
+        eps[t] = e
+        h = omega + a * e * e + b * h
         if not static_corr:
-            q = qbar_weighted + theta1 * np.outer(z, z) + theta2 * q
-    return out[DCC_BURN_IN:]
+            z = e / vol
+            q = qbar_weighted + theta1 * (z[:, None] * z) + theta2 * q
+    return eps[DCC_BURN_IN:] + params.mu

@@ -113,3 +113,38 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
     return float(np.abs(cdf_a - cdf_b).max())
+
+
+def dcc_path_per_step(params, rng: np.random.Generator, t0: int, burn_in: int) -> np.ndarray:
+    """DCC-GARCH(1,1) path drawn and factorized one step at a time: ``k``
+    normals per step, ``np.diag`` / ``np.outer`` / ``np.fill_diagonal`` for
+    the correlation, ``mu`` added inside the loop."""
+    k = params.mu.size
+    total = t0 + burn_in
+    omega, a, b = params.omega, params.a, params.b
+    theta1, theta2 = params.theta1, params.theta2
+    static_corr = theta1 == 0.0 and theta2 == 0.0
+
+    h = omega / (1.0 - a - b)
+    q = params.qbar.copy()
+    qbar_weighted = (1.0 - theta1 - theta2) * params.qbar
+    corr_chol = np.linalg.cholesky(params.qbar) if static_corr else None
+
+    out = np.empty((total, k))
+    for t in range(total):
+        if static_corr:
+            chol_r = corr_chol
+        else:
+            d = np.sqrt(np.diag(q))
+            corr = q / np.outer(d, d)
+            np.fill_diagonal(corr, 1.0)
+            chol_r = np.linalg.cholesky(corr)
+        u = rng.standard_normal(k)
+        vol = np.sqrt(h)
+        eps = vol * (chol_r @ u)
+        out[t] = params.mu + eps
+        z = eps / vol
+        h = omega + a * eps * eps + b * h
+        if not static_corr:
+            q = qbar_weighted + theta1 * np.outer(z, z) + theta2 * q
+    return out[burn_in:]

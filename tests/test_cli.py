@@ -207,6 +207,16 @@ def test_weights_file(tmp_path):
     assert len(read_csv(out / "report.csv")) == 2
 
 
+def test_duplicate_weight_rows_exit_3(tmp_path, capsys):
+    wpath = tmp_path / "w.csv"
+    wpath.write_text("asset,weight\nA1,0.5\nA2,0.5\nA1,0.2\n")
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
+                   "--method", "sample", "--weights", str(wpath), "--out", str(out)) == 3
+    assert "duplicate weight for asset 'A1' (first given on line 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, ini, key", [
     ("backtest", "[backtest]\nwindow = abc\n", "backtest.window"),
     ("backtest", "[backtest]\njobs = two\n", "backtest.jobs"),
@@ -269,3 +279,4 @@ def test_flat_input_column_is_named_by_its_header(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "method vs(4,2,0) skipped: asset 'STALE' has zero variance" in err
     assert {row[2] for row in read_csv(out / "report.csv")[1:]} == {"sample"}
+

@@ -2,6 +2,9 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from riskbench import DataError, NumericalError
 from riskbench.dataio import (
@@ -103,6 +106,39 @@ def test_fmt_number():
         fmt_number(float("inf"))
 
 
+def test_write_validates_before_touching_the_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("keep me\n")
+    data = np.zeros((3, 2))
+    data[1, 1] = np.nan
+    data[2, 0] = np.inf
+    dates = weekday_dates(dt.date(2021, 3, 1), 3)
+    with pytest.raises(NumericalError, match=r"nan on 2021-03-02 for asset 'B'"):
+        write_returns_csv(path, data, ("A", "B"), dates)
+    assert path.read_text() == "keep me\n"
+
+
+finite_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]),
+    st.integers(-10**15, 10**15).map(float),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(2, 5), st.integers(1, 4)), elements=finite_cells))
+def test_written_rows_match_fmt_number_and_read_back(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("w") / "out.csv"
+    ids = tuple(f"A{i}" for i in range(data.shape[1]))
+    dates = weekday_dates(dt.date(2022, 1, 3), data.shape[0])
+    write_returns_csv(path, data, ids, dates)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "date," + ",".join(ids) and lines[-1] == ""
+    for line, date, row in zip(lines[1:-1], dates, data):
+        assert line == date.isoformat() + "," + ",".join(fmt_number(v) for v in row)
+    np.testing.assert_allclose(ingest_returns(path).data, data, rtol=5e-12, atol=0)
+
+
 def test_weekday_dates_skip_weekends():
     dates = weekday_dates(dt.date(2020, 1, 3), 4)  # Friday start
     assert [d.isoformat() for d in dates] == ["2020-01-03", "2020-01-06", "2020-01-07", "2020-01-08"]
@@ -117,3 +153,9 @@ def test_load_weights(tmp_path):
     missing = write(tmp_path, "asset,weight\nA,1.0\n", name="w2.csv")
     with pytest.raises(DataError, match="missing weights"):
         load_weights(str(missing), ("A", "B"))
+
+
+def test_duplicate_weight_rows_rejected(tmp_path):
+    path = write(tmp_path, "asset,weight\nA,0.3\nB,0.7\n\nA,0.4\n", name="w.csv")
+    with pytest.raises(DataError, match=r"line 5: duplicate weight for asset 'A' \(first given on line 2\)"):
+        load_weights(str(path), ("A", "B"))

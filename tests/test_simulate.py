@@ -16,7 +16,9 @@ from riskbench import (
     simulate_pmvn_detail,
 )
 
-from _oracles import ks_two_sample
+from riskbench.simulate import DCC_BURN_IN, _request_rng
+
+from _oracles import dcc_path_per_step, ks_two_sample
 
 
 def corr_matrix(k, rho):
@@ -223,3 +225,32 @@ def test_all_outputs_finite():
         x = simulate(SimRequest(scenario=scenario, t0=2_000, k=3, seed=2, params=p))
         assert np.isfinite(x).all()
         assert x.shape == (2_000, 3)
+
+
+def random_correlation(k, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(k, k + 2))
+    cov = f @ f.T
+    d = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(d, d)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+@pytest.mark.parametrize("k", [1, 3, 20])
+@pytest.mark.parametrize("thetas", [(0.0, 0.0), (0.06, 0.91)], ids=["static", "dynamic"])
+@pytest.mark.parametrize("seed", [3, 2024])
+def test_dcc_matches_per_step_oracle(k, thetas, seed):
+    rng = np.random.default_rng(k)
+    params = DccParams(
+        mu=rng.normal(5e-4, 2e-4, k),
+        omega=rng.uniform(2e-6, 1e-5, k),
+        a=rng.uniform(0.02, 0.1, k),
+        b=rng.uniform(0.8, 0.88, k),
+        qbar=random_correlation(k, seed),
+        theta1=thetas[0],
+        theta2=thetas[1],
+    )
+    req = SimRequest(scenario="dcc", t0=400, k=k, seed=seed, params=params)
+    expected = dcc_path_per_step(params, _request_rng(req), req.t0, DCC_BURN_IN)
+    np.testing.assert_array_equal(simulate_dcc(req), expected)
