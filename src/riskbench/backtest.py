@@ -50,6 +50,8 @@ RED_THRESHOLD = 0.9999
 # shape (k = 5) fits all its days in one segment; at k = 50 a segment holds
 # 52 days, which keeps the batched engine's temporaries to a few megabytes.
 _SEGMENT_BYTES = 1 << 20
+# Backtesting scores VaR forecasts; CVaR is only exported by estimate_series.
+_VAR = (RiskMeasure.VAR,)
 
 
 class Zone(str, Enum):
@@ -92,11 +94,10 @@ class BacktestReport:
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Rolling evaluation settings: window length, VaR levels, and measure."""
+    """Rolling evaluation settings: window length and VaR levels."""
 
     window: int = 250
     levels: tuple[float, ...] = (0.975, 0.99)
-    measure: RiskMeasure = RiskMeasure.VAR
 
     def __post_init__(self):
         if int(self.window) < 2:
@@ -109,7 +110,6 @@ class RollingConfig:
                 raise ParameterError(f"VaR level {a!r} outside (0.5, 1)")
         object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "measure", RiskMeasure(self.measure))
 
 
 def _as_matrix(returns) -> np.ndarray:
@@ -177,12 +177,11 @@ def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, me
     """
     returns = _as_matrix(returns)
     _check_method(returns, cfg, method)
-    measures = (cfg.measure,)
-    [values] = _batched(returns, weights, cfg, [method], measures)
+    [values] = _batched(returns, weights, cfg, [method], _VAR)
     if values is None:
-        values = _day_by_day(returns, weights, cfg, [method], measures, asset_ids)[:, 0]
+        values = _day_by_day(returns, weights, cfg, [method], _VAR, asset_ids)[:, 0]
     return [
-        (cfg.window + day + 1, RiskEstimate(cfg.measure, alpha, float(value), method.label))
+        (cfg.window + day + 1, RiskEstimate(RiskMeasure.VAR, alpha, float(value), method.label))
         for day, row in enumerate(values[:, :, 0])
         for alpha, value in zip(cfg.levels, row)
     ]
@@ -307,7 +306,6 @@ def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods
     """
     returns = _as_matrix(returns)
     realized = realized_portfolio_returns(returns, weights, cfg.window + 1)
-    measures = (cfg.measure,)
     errors: dict[int, Exception] = {}
     for j, method in enumerate(methods):
         try:
@@ -315,14 +313,14 @@ def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods
         except (ValidationError, ArithmeticError) as exc:
             errors[j] = exc
     ready = [j for j in range(len(methods)) if j not in errors]
-    batched = dict(zip(ready, _batched(returns, weights, cfg, [methods[j] for j in ready], measures)))
+    batched = dict(zip(ready, _batched(returns, weights, cfg, [methods[j] for j in ready], _VAR)))
     reports: list[BacktestReport] = []
     failures: list[tuple[str, Exception]] = []
     for j, method in enumerate(methods):
         values = batched.get(j)
         if j in batched and values is None:
             try:
-                values = _day_by_day(returns, weights, cfg, [method], measures, asset_ids)[:, 0]
+                values = _day_by_day(returns, weights, cfg, [method], _VAR, asset_ids)[:, 0]
             except (ValidationError, ArithmeticError) as exc:
                 errors[j] = exc
         if j in errors:

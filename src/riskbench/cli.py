@@ -14,14 +14,15 @@ import argparse
 import configparser
 import csv
 import datetime as dt
+import functools
 import json
 import os
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .dataio import (
     write_returns_csv,
 )
 from .errors import DataError, NumericalError, ValidationError
-from .returns import PortfolioWeights
 from .simulate import (
     DccParams,
     MvnParams,
@@ -46,9 +46,6 @@ from .simulate import (
     simulate,
     simulate_pmvn_detail,
 )
-
-if TYPE_CHECKING:
-    from .backtest import RollingConfig
 
 SEED_ENV_VAR = "RISKBENCH_SEED"
 DEFAULT_SEED = 0
@@ -176,28 +173,14 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
     )
 
 
-def _params_to_dict(params) -> dict:
-    if isinstance(params, MvnParams):
-        return {"mu": params.mu.tolist(), "sigma": params.sigma.tolist()}
-    if isinstance(params, PmvnParams):
-        return {
-            "base": _params_to_dict(params.base),
-            "period_lengths": list(params.period_lengths),
-            "regime_probs": list(params.regime_probs),
-            "low_scale_range": list(params.low_scale_range),
-            "high_scale_range": list(params.high_scale_range),
-        }
-    if isinstance(params, DccParams):
-        return {
-            "mu": params.mu.tolist(),
-            "omega": params.omega.tolist(),
-            "a": params.a.tolist(),
-            "b": params.b.tolist(),
-            "qbar": params.qbar.tolist(),
-            "theta1": params.theta1,
-            "theta2": params.theta2,
-        }
-    raise ValidationError(f"unknown params object {type(params).__name__}")
+def _jsonable(obj):
+    """``json.dump`` hook: a params or period dataclass as a dict of its
+    fields, an array as nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +213,20 @@ def cmd_simulate(args) -> int:
         "t0": t0,
         "seed": seed,
         "start_date": start.isoformat(),
-        "params": _params_to_dict(params),
+        "params": params,
         "version": __version__,
     }
     if scenario == "pmvn":
-        data, periods = simulate_pmvn_detail(req)
-        meta["periods"] = [
-            {"start": p.start, "length": p.length, "regime": p.regime, "scales": list(p.scales)}
-            for p in periods
-        ]
+        data, meta["periods"] = simulate_pmvn_detail(req)
     else:
         data = simulate(req)
 
     out_path = Path(out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     asset_ids = tuple(f"A{i + 1}" for i in range(k))
     write_returns_csv(out_path, data, asset_ids, weekday_dates(start, t0))
     with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
     print(f"wrote {t0} x {k} {scenario} returns to {out_path} (seed {seed})")
     return 0
@@ -258,45 +236,34 @@ def cmd_simulate(args) -> int:
 # backtest
 
 
-@dataclass(frozen=True)
-class _BacktestJob:
-    """Everything one worker needs to backtest a single replication."""
+def _run_replication(shared, indexed_source):
+    """Backtest every method on one replication.
 
-    replication: int
-    returns: np.ndarray | None
-    request: SimRequest | None
-    weights: PortfolioWeights
-    rolling: RollingConfig
-    methods: tuple
-    asset_ids: tuple[str, ...]
-    timing: bool
-
-
-def _run_replication(job: _BacktestJob):
-    """Backtest every method on one replication. With ``timing``, each row's
-    ``runtime_ms`` is the wall time of the replication's whole backtest (all
-    methods, which share one set of rolling moments), excluding simulation."""
+    ``shared`` is ``(weights, rolling, methods, asset_ids, timing)``;
+    ``indexed_source`` is ``(replication, source)`` with ``source`` a return
+    matrix or a :class:`SimRequest` to simulate. Returns report rows in
+    ``REPORT_HEADER`` order and ``(replication, label, message)`` failures.
+    With ``timing``, each row's ``runtime_ms`` is the wall time of the
+    replication's whole backtest (all methods, which share one set of
+    rolling moments), excluding simulation.
+    """
     from .backtest import run_backtest
 
-    returns = job.returns if job.returns is not None else simulate(job.request)
+    weights, rolling, methods, asset_ids, timing = shared
+    rep, source = indexed_source
+    returns = simulate(source) if isinstance(source, SimRequest) else source
     t_start = time.perf_counter()
-    reports, fails = run_backtest(returns, job.weights, job.rolling, job.methods, job.asset_ids)
-    elapsed_ms = int(round((time.perf_counter() - t_start) * 1000)) if job.timing else 0
-    failures = [(job.replication, label, str(exc)) for label, exc in fails]
-    rows = [
-        {
-            "replication": job.replication,
-            "portfolio": 0,
-            "method": report.method,
-            "alpha": report.alpha,
-            "exceedances": report.exceedances,
-            "cum_prob": report.cum_prob,
-            "zone": report.zone.value,
-            "runtime_ms": elapsed_ms,
-        }
-        for report in reports
-    ]
-    return rows, failures
+    reports, fails = run_backtest(returns, weights, rolling, methods, asset_ids)
+    elapsed_ms = int(round((time.perf_counter() - t_start) * 1000)) if timing else 0
+    rows = [(rep, 0, r.method, r.alpha, r.exceedances, r.cum_prob, r.zone.value, elapsed_ms)
+            for r in reports]
+    return rows, [(rep, label, str(exc)) for label, exc in fails]
+
+
+def _scenario_request(inputs, rep: int) -> SimRequest:
+    """The simulation request of replication ``rep`` of a scenario input."""
+    return SimRequest(scenario=inputs["scenario"], t0=inputs["t0"], k=inputs["k"],
+                      seed=replication_seed(inputs["seed"], rep), params=inputs["params"])
 
 
 def _resolve_backtest_inputs(cfg, args, command: str):
@@ -374,6 +341,8 @@ def _resolve_backtest_inputs(cfg, args, command: str):
 
 
 def cmd_backtest(args) -> int:
+    from .backtest import Zone
+
     cfg = _load_config(args.config)
     inputs = _resolve_backtest_inputs(cfg, args, "backtest")
     out = _cfg_get(cfg, "backtest", "out", args.out, None)
@@ -383,92 +352,49 @@ def cmd_backtest(args) -> int:
     replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int)
     if replications < 1:
         raise ValidationError(f"replications must be >= 1, got {replications}")
-    timing = bool(args.timing)
 
     if inputs["history"] is not None:
         if replications != 1:
             raise ValidationError("replications > 1 requires a scenario input")
-        job_list = [
-            _BacktestJob(
-                replication=0,
-                returns=inputs["history"].data,
-                request=None,
-                weights=inputs["weights"],
-                rolling=inputs["rolling"],
-                methods=inputs["methods"],
-                asset_ids=inputs["asset_ids"],
-                timing=timing,
-            )
-        ]
+        sources = [inputs["history"].data]
     else:
-        job_list = [
-            _BacktestJob(
-                replication=rep,
-                returns=None,
-                request=SimRequest(
-                    scenario=inputs["scenario"],
-                    t0=inputs["t0"],
-                    k=inputs["k"],
-                    seed=replication_seed(inputs["seed"], rep),
-                    params=inputs["params"],
-                ),
-                weights=inputs["weights"],
-                rolling=inputs["rolling"],
-                methods=inputs["methods"],
-                asset_ids=inputs["asset_ids"],
-                timing=timing,
-            )
-            for rep in range(replications)
-        ]
-
-    if jobs > 1 and len(job_list) > 1:
+        sources = [_scenario_request(inputs, rep) for rep in range(replications)]
+    run = functools.partial(_run_replication, (inputs["weights"], inputs["rolling"],
+                                               inputs["methods"], inputs["asset_ids"],
+                                               bool(args.timing)))
+    if jobs > 1 and len(sources) > 1:
         # The pool starts all its workers on the first submit: no more than replications.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(job_list))) as pool:
-            results = list(pool.map(_run_replication, job_list))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(sources))) as pool:
+            results = list(pool.map(run, enumerate(sources)))
     else:
-        results = [_run_replication(job) for job in job_list]
+        results = list(map(run, enumerate(sources)))
 
-    rows = [row for reps_rows, _ in results for row in reps_rows]
-    failures = [f for _, reps_fails in results for f in reps_fails]
-    for rep, label, message in failures:
-        print(f"warning: replication {rep}, method {label} skipped: {message}", file=sys.stderr)
-
-    rows.sort(key=lambda r: (r["replication"], r["portfolio"], r["method"], r["alpha"]))
+    rows = sorted((row for reps_rows, _ in results for row in reps_rows), key=lambda r: r[:4])
+    for _, reps_fails in results:
+        for rep, label, message in reps_fails:
+            print(f"warning: replication {rep}, method {label} skipped: {message}", file=sys.stderr)
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.csv"
     with open(report_path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(REPORT_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for row in rows:
-            writer.writerow(
-                [
-                    row["replication"],
-                    row["portfolio"],
-                    row["method"],
-                    f"{row['alpha']:g}",
-                    row["exceedances"],
-                    fmt_number(row["cum_prob"]),
-                    row["zone"],
-                    row["runtime_ms"],
-                ]
-            )
+        csv.writer(fh, lineterminator="\n").writerows(
+            (*row[:3], f"{row[3]:g}", row[4], fmt_number(row[5]), *row[6:]) for row in rows
+        )
 
-    aggregate: dict[str, dict[str, dict[str, float]]] = {}
-    for method in sorted({row["method"] for row in rows}):
-        aggregate[method] = {}
-        for alpha in inputs["rolling"].levels:
-            matching = [r for r in rows if r["method"] == method and r["alpha"] == alpha]
-            if not matching:
-                continue
-            total = len(matching)
-            counts = {"green": 0, "amber": 0, "red": 0}
-            for r in matching:
-                counts[r["zone"]] += 1
-            aggregate[method][f"{alpha:g}"] = {
-                zone: float(fmt_number(count / total)) for zone, count in counts.items()
+    zones = Counter((row[2], row[3], row[6]) for row in rows)
+    totals = Counter(row[2:4] for row in rows)
+    aggregate = {
+        method: {
+            f"{alpha:g}": {
+                zone.value: float(fmt_number(zones[method, alpha, zone.value] / totals[method, alpha]))
+                for zone in Zone
             }
+            for alpha in inputs["rolling"].levels
+        }
+        for method, _ in totals
+    }
     aggregate_path = out_dir / "aggregate.json"
     with open(aggregate_path, "w", encoding="utf-8") as fh:
         json.dump(aggregate, fh, indent=2, sort_keys=True)
@@ -492,43 +418,31 @@ def cmd_estimate(args) -> int:
     if out is None:
         raise ValidationError("estimate needs an output path (--out)")
 
-    if inputs["history"] is not None:
-        returns = inputs["history"].data
-        dates = inputs["history"].dates
+    history = inputs["history"]
+    if history is not None:
+        returns, dates = history.data, history.dates
     else:
-        request = SimRequest(
-            scenario=inputs["scenario"],
-            t0=inputs["t0"],
-            k=inputs["k"],
-            seed=replication_seed(inputs["seed"], 0),
-            params=inputs["params"],
-        )
-        returns = simulate(request)
+        returns = simulate(_scenario_request(inputs, 0))
         dates = weekday_dates(dt.date.fromisoformat(DEFAULT_START_DATE), inputs["t0"])
 
     series = estimate_series(returns, inputs["weights"], inputs["rolling"], inputs["methods"],
                              inputs["asset_ids"])
-
-    columns = []
-    for method in inputs["methods"]:
-        for alpha in inputs["rolling"].levels:
-            columns.append((method.label, alpha, RiskMeasure.VAR))
-            columns.append((method.label, alpha, RiskMeasure.CVAR))
+    columns = [(method.label, alpha, measure) for method in inputs["methods"]
+               for alpha in inputs["rolling"].levels
+               for measure in (RiskMeasure.VAR, RiskMeasure.CVAR)]
 
     out_path = Path(out)
-    if out_path.parent and not out_path.parent.exists():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = ["date", "return"] + [
+        writer.writerow(["date", "return"] + [
             f"neg_{measure.value}:{label}:{alpha:g}" for label, alpha, measure in columns
-        ]
-        writer.writerow(header)
-        for day, realized, estimates in series:
-            row = [dates[day - 1].isoformat(), fmt_number(realized)]
-            for label, alpha, measure in columns:
-                row.append(fmt_number(-estimates[(label, alpha, measure)]))
-            writer.writerow(row)
+        ])
+        writer.writerows(
+            [dates[day - 1].isoformat(), fmt_number(realized)]
+            + [fmt_number(-estimates[column]) for column in columns]
+            for day, realized, estimates in series
+        )
     print(f"wrote {len(series)} daily estimate rows to {out_path}")
     return 0
 

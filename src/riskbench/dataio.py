@@ -154,13 +154,7 @@ def write_returns_csv(path, data, asset_ids, dates) -> None:
 
 def weekday_dates(start: dt.date, count: int) -> tuple[dt.date, ...]:
     """``count`` consecutive weekdays starting at ``start`` (weekend-shifted)."""
-    out = []
-    day = start
-    while len(out) < count:
-        if day.weekday() < 5:
-            out.append(day)
-        day += dt.timedelta(days=1)
-    return tuple(out)
+    return tuple(np.busday_offset(start, np.arange(count), roll="forward").tolist())
 
 
 def load_weights(spec: str, asset_ids) -> PortfolioWeights:

@@ -72,6 +72,15 @@ def _risk_values(location, scale, factors) -> np.ndarray:
     return -location[:, None, None] + factors * scale[:, None, None]
 
 
+def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, measures,
+                   label: str) -> list:
+    """Conjugate predictive risk on one window, level-major: the scalar
+    reference that :func:`_conjugate_batch` reproduces for every day."""
+    pred = posterior_predictive(window, weights, hp)
+    return [risk_estimate(pred, alpha, measure, method=label)
+            for alpha in alphas for measure in measures]
+
+
 def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, prior_cov,
                      r0: float, alphas, measures) -> np.ndarray:
     """Conjugate predictive risk for every day, with ``m0`` the window mean.
@@ -131,12 +140,7 @@ class VolatilitySensitive:
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
         cfg = VsConfig(n_r=self.n_r, h=self.h, l=self.l, r0=self.r0)
         hp, _ = vs_hyperparams(window, weights, cfg)
-        pred = posterior_predictive(window, weights, hp)
-        return [
-            risk_estimate(pred, alpha, measure, method=self.label)
-            for alpha in alphas
-            for measure in measures
-        ]
+        return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
     def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
         """``day_estimates`` for every day, as ``(days, levels, measures)``."""
@@ -182,12 +186,7 @@ class EmpiricalBayes:
 
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
         hp = eb_hyperparams(window, d0=self.d0, r0=self.r0)
-        pred = posterior_predictive(window, weights, hp)
-        return [
-            risk_estimate(pred, alpha, measure, method=self.label)
-            for alpha in alphas
-            for measure in measures
-        ]
+        return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
     def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
         """``day_estimates`` for every day, as ``(days, levels, measures)``."""

@@ -63,6 +63,7 @@ def run_cli(*argv) -> int:
 # criterion 1: closed-form VaR vs exact posterior-sampling Monte Carlo
 
 
+@pytest.mark.slow
 def test_criterion_1_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)

@@ -280,3 +280,46 @@ def test_flat_input_column_is_named_by_its_header(tmp_path, capsys):
     assert "method vs(4,2,0) skipped: asset 'STALE' has zero variance" in err
     assert {row[2] for row in read_csv(out / "report.csv")[1:]} == {"sample"}
 
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_backtest_runtime_ms_per_replication(tmp_path, timing):
+    out = tmp_path / "bt"
+    args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "300", "--replications", "3",
+            "--method", "eb", "--method", "sample", "--out", str(out)]
+    assert run_cli(*args, *(["--timing"] if timing else [])) == 0
+    runtimes = {}
+    for row in read_csv(out / "report.csv")[1:]:
+        runtimes.setdefault(row[0], set()).add(row[7])
+    assert sorted(runtimes) == ["0", "1", "2"]
+    for values in runtimes.values():
+        assert len(values) == 1  # one wall time for the whole replication
+        [value] = values
+        assert value.isdigit()
+        if not timing:
+            assert value == "0"
+
+
+@pytest.mark.parametrize("scenario, keys", [
+    ("mvn", {"mu", "sigma"}),
+    ("pmvn", {"base", "period_lengths", "regime_probs", "low_scale_range", "high_scale_range"}),
+    ("dcc", {"mu", "omega", "a", "b", "qbar", "theta1", "theta2"}),
+])
+def test_simulate_metadata_params(tmp_path, scenario, keys):
+    out = tmp_path / "sub" / "s.csv"
+    assert run_cli("simulate", "--scenario", scenario, "--k", "2", "--t", "40",
+                   "--seed", "4", "--out", str(out)) == 0
+    meta = json.loads((tmp_path / "sub" / "s.csv.meta.json").read_text())
+    assert set(meta["params"]) == keys
+    if scenario == "pmvn":
+        assert set(meta["params"]["base"]) == {"mu", "sigma"}
+        assert meta["params"]["base"]["sigma"] == [[1e-4, 3e-5], [3e-5, 1e-4]]
+        assert meta["params"]["period_lengths"] == [3, 4, 5]
+        assert {frozenset(p) for p in meta["periods"]} == {
+            frozenset({"start", "length", "regime", "scales"})}
+        assert all(len(p["scales"]) == 2 for p in meta["periods"])
+    else:
+        assert "periods" not in meta
+    if scenario == "dcc":
+        assert meta["params"]["qbar"] == [[1.0, 0.3], [0.3, 1.0]]
+        assert meta["params"]["theta1"] == 0.05

@@ -142,6 +142,10 @@ def test_written_rows_match_fmt_number_and_read_back(tmp_path_factory, data):
 def test_weekday_dates_skip_weekends():
     dates = weekday_dates(dt.date(2020, 1, 3), 4)  # Friday start
     assert [d.isoformat() for d in dates] == ["2020-01-03", "2020-01-06", "2020-01-07", "2020-01-08"]
+    for start in (dt.date(2020, 1, 4), dt.date(2020, 1, 5)):  # Saturday, Sunday start
+        dates = weekday_dates(start, 3)
+        assert [d.isoformat() for d in dates] == ["2020-01-06", "2020-01-07", "2020-01-08"]
+        assert all(type(d) is dt.date for d in dates)
 
 
 def test_load_weights(tmp_path):
