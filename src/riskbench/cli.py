@@ -117,6 +117,13 @@ def _resolve_seed(cfg: configparser.ConfigParser, section: str, flag_value) -> i
         raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+def _resolve_k(cfg: configparser.ConfigParser, section: str, flag_value) -> int:
+    k = _cfg_get(cfg, section, "k", flag_value, DEFAULT_K, int)
+    if k < 1:
+        raise ValidationError(f"{section}.k must be at least 1, got {k}")
+    return k
+
+
 def _vector(values: tuple[float, ...], k: int, what: str) -> np.ndarray:
     if len(values) == 1:
         return np.full(k, values[0])
@@ -192,7 +199,7 @@ def cmd_simulate(args) -> int:
     scenario = str(_cfg_get(cfg, "simulate", "scenario", args.scenario, "mvn")).lower()
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-    k = _cfg_get(cfg, "simulate", "k", args.k, DEFAULT_K, int)
+    k = _resolve_k(cfg, "simulate", args.k)
     t0 = _cfg_get(cfg, "simulate", "t", args.t, DEFAULT_T0, int)
     seed = _resolve_seed(cfg, "simulate", args.seed)
     start_raw = str(_cfg_get(cfg, "simulate", "start_date", args.start_date, DEFAULT_START_DATE))
@@ -206,6 +213,7 @@ def cmd_simulate(args) -> int:
 
     params = _scenario_params(cfg, scenario, k)
     req = SimRequest(scenario=scenario, t0=t0, k=k, seed=seed, params=params)
+    dates = weekday_dates(start, t0)  # a calendar overflow fails before simulating
     meta = {
         "command": "simulate",
         "scenario": scenario,
@@ -224,7 +232,7 @@ def cmd_simulate(args) -> int:
     out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     asset_ids = tuple(f"A{i + 1}" for i in range(k))
-    write_returns_csv(out_path, data, asset_ids, weekday_dates(start, t0))
+    write_returns_csv(out_path, data, asset_ids, dates)
     with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
@@ -315,7 +323,7 @@ def _resolve_backtest_inputs(cfg, args, command: str):
         scenario = str(scenario).lower()
         if scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-        k = _cfg_get(cfg, section, "k", args.k, DEFAULT_K, int)
+        k = _resolve_k(cfg, section, args.k)
         t0 = _cfg_get(cfg, section, "t", args.t, DEFAULT_T0, int)
         asset_ids = tuple(f"A{i + 1}" for i in range(k))
         params = _scenario_params(cfg, scenario, k)

@@ -153,8 +153,17 @@ def write_returns_csv(path, data, asset_ids, dates) -> None:
 
 
 def weekday_dates(start: dt.date, count: int) -> tuple[dt.date, ...]:
-    """``count`` consecutive weekdays starting at ``start`` (weekend-shifted)."""
-    return tuple(np.busday_offset(start, np.arange(count), roll="forward").tolist())
+    """``count`` consecutive weekdays starting at ``start`` (weekend-shifted).
+
+    Raises :class:`ParameterError` when the last of them falls after
+    ``datetime.date.max``.
+    """
+    days = np.busday_offset(start, np.arange(count), roll="forward")
+    if days.size and days[-1] > np.datetime64(dt.date.max):
+        raise ParameterError(
+            f"{count} weekdays from {start.isoformat()} run past {dt.date.max.isoformat()}"
+        )
+    return tuple(days.tolist())
 
 
 def load_weights(spec: str, asset_ids) -> PortfolioWeights:

@@ -10,9 +10,11 @@ run replications derive one child seed per replication index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import DimensionError, NumericalError, ParameterError, ValidationError
 from .returns import _frozen_array
@@ -295,6 +297,17 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     ``t`` is the same stream as a draw of ``k`` normals at step ``t``, so the
     path is bit-identical to drawing step by step. The recursion itself is
     sequential, with one Cholesky factorization of the correlation per step.
+
+    A step allocates no array: every buffer is made once before the loop,
+    ``h`` and ``q`` are updated in place and every ufunc writes through
+    ``out=``. The correlation is factored by ``cholesky_lo``, the gufunc that
+    ``np.linalg.cholesky`` itself calls, without the wrapper's checks and
+    copies; on a matrix that is not positive definite it fills its output
+    with NaN instead of raising. Each expression keeps the operation order of
+    ``h = (omega + (a*e)*e) + b*h`` and
+    ``Q = (qbar_w + theta1*(z z')) + theta2*Q``; only operands of ``+`` trade
+    places, which is exact, so the path is bit-identical to the per-step
+    ``np.linalg.cholesky`` loop.
     """
     params: DccParams = req.params
     if not isinstance(params, DccParams):
@@ -309,26 +322,38 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     h = omega / (1.0 - a - b)
     q = params.qbar.copy()
     qbar_weighted = (1.0 - theta1 - theta2) * params.qbar
-    chol_r = np.linalg.cholesky(params.qbar)
-    diagonal = np.arange(k) * (k + 1)  # flat indices of a (k, k) diagonal
+    chol = np.linalg.cholesky(params.qbar)
+    q_diag = q.diagonal()
+    d, vol, tmp, z = (np.empty(k) for _ in range(4))
+    corr, zz = np.empty((k, k)), np.empty((k, k))
+    corr_diag = corr.reshape(-1)[::k + 1]
+    d_col, z_col = d[:, None], z[:, None]
+    multiply, divide, add, sqrt, matmul = np.multiply, np.divide, np.add, np.sqrt, np.matmul
 
     eps = rng.standard_normal((total, k))  # overwritten row by row with the shocks
-    for t in range(total):
-        if not static_corr:
-            d = np.sqrt(q.diagonal())
-            corr = q / (d[:, None] * d)
-            corr.flat[diagonal] = 1.0
-            try:
-                chol_r = np.linalg.cholesky(corr)
-            except np.linalg.LinAlgError:
-                raise NumericalError(
-                    "correlation recursion lost positive definiteness"
-                ) from None
-        vol = np.sqrt(h)
-        e = vol * (chol_r @ eps[t])
-        eps[t] = e
-        h = omega + a * e * e + b * h
-        if not static_corr:
-            z = e / vol
-            q = qbar_weighted + theta1 * (z[:, None] * z) + theta2 * q
+    with np.errstate(invalid="ignore"):  # cholesky_lo signals failure as NaN
+        for e in eps:
+            if not static_corr:
+                sqrt(q_diag, out=d)
+                multiply(d_col, d, out=corr)
+                divide(q, corr, out=corr)
+                corr_diag.fill(1.0)
+                cholesky_lo(corr, out=chol, signature="d->d")
+                if math.isnan(chol[0, 0]):
+                    raise NumericalError("correlation recursion lost positive definiteness")
+            sqrt(h, out=vol)
+            matmul(chol, e, out=tmp)
+            multiply(vol, tmp, out=e)
+            multiply(a, e, out=tmp)
+            multiply(tmp, e, out=tmp)
+            add(omega, tmp, out=tmp)
+            multiply(b, h, out=h)
+            add(tmp, h, out=h)
+            if not static_corr:
+                divide(e, vol, out=z)
+                multiply(z_col, z, out=zz)
+                multiply(theta1, zz, out=zz)
+                add(qbar_weighted, zz, out=zz)
+                multiply(theta2, q, out=q)
+                add(zz, q, out=q)
     return eps[DCC_BURN_IN:] + params.mu

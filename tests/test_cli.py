@@ -323,3 +323,31 @@ def test_simulate_metadata_params(tmp_path, scenario, keys):
     if scenario == "dcc":
         assert meta["params"]["qbar"] == [[1.0, 0.3], [0.3, 1.0]]
         assert meta["params"]["theta1"] == 0.05
+
+
+@pytest.mark.parametrize("command", ["simulate", "backtest", "estimate"])
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_nonpositive_asset_count_exits_2(tmp_path, capsys, command, k):
+    out = tmp_path / "o"
+    assert run_cli(command, "--scenario", "mvn", "--k", k, "--t", "300", "--out", str(out)) == 2
+    assert f"error: {command}.k must be at least 1, got {k}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_start_date_past_the_calendar_exits_2(tmp_path, capsys):
+    out = tmp_path / "late.csv"
+    assert run_cli("simulate", "--scenario", "mvn", "--k", "2", "--t", "20",
+                   "--start-date", "9999-12-20", "--out", str(out)) == 2
+    assert "error: 20 weekdays from 9999-12-20 run past 9999-12-31" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_dcc_loss_of_positive_definiteness_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "dcc.ini"
+    cfg.write_text("[scenario.dcc]\ncorrelation = 0.9999999999999998\n")
+    out = tmp_path / "d.csv"
+    assert run_cli("simulate", "--scenario", "dcc", "--k", "2", "--t", "50", "--seed", "0",
+                   "--config", str(cfg), "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical error: correlation recursion lost positive definiteness\n"
+    assert not out.exists()

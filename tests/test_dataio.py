@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riskbench import DataError, NumericalError
+from riskbench import DataError, NumericalError, ParameterError
 from riskbench.dataio import (
     fmt_number,
     ingest_returns,
@@ -146,6 +146,13 @@ def test_weekday_dates_skip_weekends():
         dates = weekday_dates(start, 3)
         assert [d.isoformat() for d in dates] == ["2020-01-06", "2020-01-07", "2020-01-08"]
         assert all(type(d) is dt.date for d in dates)
+
+
+def test_weekday_dates_stop_at_the_last_representable_date():
+    dates = weekday_dates(dt.date(9999, 12, 27), 5)
+    assert dates[-1] == dt.date.max and all(type(d) is dt.date for d in dates)
+    with pytest.raises(ParameterError, match="^20 weekdays from 9999-12-20 run past 9999-12-31$"):
+        weekday_dates(dt.date(9999, 12, 20), 20)
 
 
 def test_load_weights(tmp_path):

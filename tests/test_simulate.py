@@ -254,3 +254,17 @@ def test_dcc_matches_per_step_oracle(k, thetas, seed):
     req = SimRequest(scenario="dcc", t0=400, k=k, seed=seed, params=params)
     expected = dcc_path_per_step(params, _request_rng(req), req.t0, DCC_BURN_IN)
     np.testing.assert_array_equal(simulate_dcc(req), expected)
+
+
+NEAR_SINGULAR_RHO = 0.9999999999999998  # passes DccParams validation
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dcc_loss_of_positive_definiteness_raises(seed):
+    params = DccParams(
+        mu=np.zeros(2), omega=[5e-6] * 2, a=[0.05] * 2, b=[0.9] * 2,
+        qbar=corr_matrix(2, NEAR_SINGULAR_RHO), theta1=0.05, theta2=0.9,
+    )
+    req = SimRequest(scenario="dcc", t0=50, k=2, seed=seed, params=params)
+    with pytest.raises(NumericalError, match="^correlation recursion lost positive definiteness$"):
+        simulate_dcc(req)
