@@ -99,6 +99,7 @@ def __dir__():
     return sorted(set(globals()) | set(_LAZY_NAMES))
 
 
+# The eager names, then the lazy ones as listed in _LAZY_MODULES.
 __all__ = [
     "__version__",
     # returns
@@ -111,39 +112,6 @@ __all__ = [
     "rolling_moments",
     "portfolio_return",
     "equal_weights",
-    # student-t
-    "t_cdf",
-    "t_pdf",
-    "t_quantile",
-    "normal_quantile",
-    "normal_es_factor",
-    # conjugate
-    "RiskMeasure",
-    "ConjugateHyperparams",
-    "PredictiveParams",
-    "RiskEstimate",
-    "posterior_predictive",
-    "var_quantile_factor",
-    "cvar_quantile_factor",
-    "risk_estimate",
-    # priors
-    "VsConfig",
-    "VolatilityDiagnostics",
-    "vs_hyperparams",
-    "eb_hyperparams",
-    "sample_method_estimate",
-    # backtest
-    "Zone",
-    "HitSequence",
-    "BacktestReport",
-    "RollingConfig",
-    "rolling_forecasts",
-    "hit_sequence",
-    "binomial_cdf",
-    "classify_zone",
-    "traffic_light",
-    "run_backtest",
-    "estimate_series",
     # simulation
     "MvnParams",
     "PmvnParams",
@@ -156,12 +124,6 @@ __all__ = [
     "simulate_pmvn_detail",
     "simulate_dcc",
     "replication_seed",
-    # estimators
-    "VolatilitySensitive",
-    "EmpiricalBayes",
-    "SampleNormal",
-    "parse_method",
-    "parse_methods",
     # errors
     "RiskbenchError",
     "ValidationError",
@@ -171,4 +133,5 @@ __all__ = [
     "NumericalError",
     "DegenerateAssetError",
     "DegreesOfFreedomError",
+    *_LAZY_NAMES,
 ]

@@ -3,16 +3,24 @@ traffic-light classification.
 
 For every evaluation day the configured estimators are fit on the trailing
 window and priced for the next day; the realized return of a day is never
-visible to its own forecast. The engine is batched: the moments of every
-trailing window are computed in one pass (:func:`rolling_moments`) and shared
-by all methods, and each estimator's ``batch_estimates`` maps them to all
-days' forecasts as one array program. (Days are taken in memory-bounded
-segments; at the README shape one segment holds them all.) The per-day scalar path, each estimator's
-``day_estimates`` on one :class:`ReturnWindow` at a time, is the reference.
-It runs instead for objects that only define ``day_estimates``, and for a
-method whose batched checks fail, so that method raises exactly the scalar
-error of its first bad day. The exceedance count is then scored against the
-binomial null and classified Green / Amber / Red at the 95% and 99.99%
+visible to its own forecast. One driver serves ``rolling_forecasts``,
+``estimate_series`` and ``run_backtest``. It is batched: the moments of
+every trailing window are computed in one pass (:func:`rolling_moments`) and
+shared by all methods, and each estimator's ``batch_estimates`` maps them to
+all days' forecasts as one array program. (Days are taken in memory-bounded
+segments; at the README shape one segment holds them all.) The per-day
+scalar path, each estimator's ``day_estimates`` on one :class:`ReturnWindow`
+at a time, is the reference. It runs instead for objects that only define
+``day_estimates``, and for a method whose batched checks fail, so that
+method fails with exactly the scalar error of its first bad day.
+
+The driver hands back, per method, either its forecasts or the day and
+error of its first failure (day -1 for a failed precondition).
+``run_backtest`` lists every failing method and scores the others;
+``estimate_series`` raises the error with the earliest day, the earliest
+method on a tie, as a day-major scalar loop would; ``rolling_forecasts``
+raises its one method's error. The exceedance count is then scored against
+the binomial null and classified Green / Amber / Red at the 95% and 99.99%
 cumulative-probability thresholds.
 """
 
@@ -125,45 +133,58 @@ def _check_method(returns: np.ndarray, cfg: RollingConfig, method) -> None:
     method.validate(cfg.window, returns.shape[1])
 
 
-def _day_by_day(returns, weights, cfg: RollingConfig, methods, measures, asset_ids) -> np.ndarray:
-    """Scalar reference engine: each method's ``day_estimates`` on one
-    trailing window at a time, day-major, so the first bad day raises.
-    Returns ``(days, methods, levels, measures)``."""
+def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, asset_ids):
+    """Scalar reference engine: ``method.day_estimates`` on one trailing
+    window at a time. Returns ``(days, levels, measures)``, or the
+    ``(day, error)`` of the first day that raises."""
     shape = (len(cfg.levels), len(measures))
-    out = np.empty((returns.shape[0] - cfg.window, len(methods)) + shape)
-    for day, t in enumerate(range(cfg.window, returns.shape[0])):
-        window = ReturnWindow.from_matrix(returns[t - cfg.window:t], asset_ids)
-        for j, method in enumerate(methods):
+    out = np.empty((returns.shape[0] - cfg.window,) + shape)
+    for day in range(len(out)):
+        try:
+            window = ReturnWindow.from_matrix(returns[day:day + cfg.window], asset_ids)
             estimates = method.day_estimates(window, weights, cfg.levels, measures)
-            out[day, j] = np.reshape([est.value for est in estimates], shape)
+        except (ValidationError, ArithmeticError) as exc:
+            return day, exc
+        out[day] = np.reshape([est.value for est in estimates], shape)
     return out
 
 
-def _batched(returns, weights, cfg: RollingConfig, methods, measures) -> list:
-    """Each method's ``(days, levels, measures)`` forecasts from the batched
-    engine, or None for a method with no ``batch_estimates`` or whose
-    batched checks fail on some day.
+def _forecasts(returns, weights, cfg: RollingConfig, methods, measures, asset_ids) -> list:
+    """Each method's ``(days, levels, measures)`` forecasts, or the
+    ``(day, error)`` of its first failure: day -1 for a failed precondition.
 
     Days are taken in segments whose ``(days, k, k)`` moment arrays fit in
     ``_SEGMENT_BYTES``; each segment's moments are computed once and shared
-    by every method.
+    by every method. A method with no ``batch_estimates``, or whose batched
+    checks fail on some segment, runs day by day instead.
     """
     t0, k = returns.shape
+    out = []
+    for method in methods:
+        try:
+            _check_method(returns, cfg, method)
+            out.append(None)
+        except (ValidationError, ArithmeticError) as exc:
+            out.append((-1, exc))
     parts = {
         j: [] for j, m in enumerate(methods)
-        if hasattr(m, "batch_estimates") and weights.k == k
+        if out[j] is None and hasattr(m, "batch_estimates") and weights.k == k
     }
-    if not parts:
-        return [None] * len(methods)
     step = max(1, _SEGMENT_BYTES // (8 * k * k))
     for start in range(0, t0 - cfg.window, step):
+        if not parts:
+            break
         moments = rolling_moments(returns[start:start + step + cfg.window], cfg.window)
         for j in list(parts):
             try:
                 parts[j].append(methods[j].batch_estimates(moments, weights, cfg.levels, measures))
             except BatchCheckFailed:
                 del parts[j]
-    return [np.concatenate(parts[j]) if j in parts else None for j in range(len(methods))]
+    for j, method in enumerate(methods):
+        if out[j] is None:
+            out[j] = (np.concatenate(parts[j]) if j in parts
+                      else _day_by_day(returns, weights, cfg, method, measures, asset_ids))
+    return out
 
 
 def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, method,
@@ -175,11 +196,9 @@ def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, me
     emitted as ``(t, RiskEstimate)`` pairs, day-major in level order.
     ``asset_ids`` label the columns in error messages (default ``a1..ak``).
     """
-    returns = _as_matrix(returns)
-    _check_method(returns, cfg, method)
-    [values] = _batched(returns, weights, cfg, [method], _VAR)
-    if values is None:
-        values = _day_by_day(returns, weights, cfg, [method], _VAR, asset_ids)[:, 0]
+    [values] = _forecasts(_as_matrix(returns), weights, cfg, [method], _VAR, asset_ids)
+    if isinstance(values, tuple):
+        raise values[1]
     return [
         (cfg.window + day + 1, RiskEstimate(RiskMeasure.VAR, alpha, float(value), method.label))
         for day, row in enumerate(values[:, :, 0])
@@ -275,16 +294,11 @@ def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, meth
     day-major scalar loop would: the first bad day, first method on it.
     """
     returns = _as_matrix(returns)
-    for method in methods:
-        _check_method(returns, cfg, method)
     measures = (RiskMeasure.VAR, RiskMeasure.CVAR)
-    values = _batched(returns, weights, cfg, methods, measures)
-    scalar = [j for j, v in enumerate(values) if v is None]
-    if scalar:
-        per_day = _day_by_day(returns, weights, cfg, [methods[j] for j in scalar], measures,
-                              asset_ids)
-        for i, j in enumerate(scalar):
-            values[j] = per_day[:, i]
+    values = _forecasts(returns, weights, cfg, methods, measures, asset_ids)
+    errors = [v for v in values if isinstance(v, tuple)]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
     keys = [(m.label, a, measure) for m in methods for a in cfg.levels for measure in measures]
     days = returns.shape[0] - cfg.window
     flat = np.stack(values, axis=1).reshape(days, -1) if methods else np.empty((days, 0))
@@ -306,25 +320,11 @@ def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods
     """
     returns = _as_matrix(returns)
     realized = realized_portfolio_returns(returns, weights, cfg.window + 1)
-    errors: dict[int, Exception] = {}
-    for j, method in enumerate(methods):
-        try:
-            _check_method(returns, cfg, method)
-        except (ValidationError, ArithmeticError) as exc:
-            errors[j] = exc
-    ready = [j for j in range(len(methods)) if j not in errors]
-    batched = dict(zip(ready, _batched(returns, weights, cfg, [methods[j] for j in ready], _VAR)))
     reports: list[BacktestReport] = []
     failures: list[tuple[str, Exception]] = []
-    for j, method in enumerate(methods):
-        values = batched.get(j)
-        if j in batched and values is None:
-            try:
-                values = _day_by_day(returns, weights, cfg, [method], _VAR, asset_ids)[:, 0]
-            except (ValidationError, ArithmeticError) as exc:
-                errors[j] = exc
-        if j in errors:
-            failures.append((method.label, errors[j]))
+    for method, values in zip(methods, _forecasts(returns, weights, cfg, methods, _VAR, asset_ids)):
+        if isinstance(values, tuple):
+            failures.append((method.label, values[1]))
             continue
         exceedances = (realized[:, None] < -values[:, :, 0]).sum(axis=0)
         for alpha, count in zip(cfg.levels, exceedances):

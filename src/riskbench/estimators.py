@@ -51,20 +51,22 @@ def _require(ok) -> None:
 
 
 def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w' M w`` for each matrix of a ``(days, k, k)`` stack."""
-    return (mats @ w) @ w
+    """``w' M w`` for each matrix of a ``(days, k, k)`` stack, with ``w`` one
+    weight vector or one per day. One summation order for both, so equal
+    weights give equal bits."""
+    return np.einsum("...i,...ij,...j->...", w, mats, w)
 
 
-def _cholesky(mats: np.ndarray) -> np.ndarray:
-    """Batched Cholesky factor, or :class:`BatchCheckFailed` unless every
-    matrix is positive definite with room to spare."""
+def _require_pd(mats: np.ndarray) -> None:
+    """:class:`BatchCheckFailed` unless every matrix of the stack is positive
+    definite with room to spare: each Cholesky pivot's square above
+    ``_PIVOT_RTOL`` times its diagonal entry."""
     try:
         chol = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         raise BatchCheckFailed from None
     pivots = np.diagonal(chol, axis1=1, axis2=2)
     _require(pivots * pivots > _PIVOT_RTOL * np.diagonal(mats, axis1=1, axis2=2))
-    return chol
 
 
 def _risk_values(location, scale, factors) -> np.ndarray:
@@ -81,23 +83,34 @@ def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, 
             for alpha in alphas for measure in measures]
 
 
-def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, prior_cov,
+def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w, v_rw,
                      r0: float, alphas, measures) -> np.ndarray:
-    """Conjugate predictive risk for every day, with ``m0`` the window mean.
+    """Conjugate predictive risk for every day, with ``m0`` the window mean
+    and prior scale ``S0 = c D cov D``, ``c = (d0-k-1)(n-1)/n``.
 
     The batched form of ``ConjugateHyperparams`` -> ``posterior_predictive``
-    -> ``risk_estimate``: ``S0 = (d0-k-1)(n-1)/n * prior_cov``, posterior
-    scale matrix ``(n-1) cov + S0`` (the mean-shift term vanishes because
-    ``m0`` is the sample mean), ``df = n + d0 - 2k``, squared scale
-    ``(n+r0+1)/((n+r0) df) * w' S w`` and location ``w' mean``.
+    -> ``risk_estimate``. The posterior scale matrix is ``(n-1) cov + S0``
+    (the mean-shift term vanishes because ``m0`` is the sample mean), and the
+    predictive needs only its quadratic form in ``w``:
+    ``w'Sw = (n-1) v_w + c v_rw``, with ``v_w = w' cov w`` and
+    ``v_rw = (Dw)' cov (Dw)``, the two portfolio variances that set ``d0``.
+    Then ``df = n + d0 - 2k``, squared scale ``(n+r0+1)/((n+r0) df) * w'Sw``
+    and location ``w' mean``. ``D`` is ``diag(sigma_r/sigma)`` for ``vs``
+    and the identity for ``eb``; the caller ensures it is positive.
+
+    ``ConjugateHyperparams`` requires ``S0`` positive definite. The relative
+    pivot test of :func:`_require_pd` does not change when a matrix is
+    multiplied by a positive scalar or scaled by a positive diagonal on both
+    sides, so one check of ``cov`` decides it for ``S0``. The posterior
+    matrix, a sum of two positive definite matrices, then needs no factor:
+    both terms of its quadratic form are positive.
     """
-    n, k, w = moments.window, weights.k, weights.w
-    s0 = ((d0 - k - 1.0) * (n - 1.0) / n)[:, None, None] * prior_cov
-    _cholesky(s0)  # positive definite, as ConjugateHyperparams requires
+    n, k = moments.window, weights.k
+    _require_pd(moments.cov)
     df = n + d0 - 2 * k
     _require(df > 0)
-    y = np.einsum("dij,i->dj", _cholesky((n - 1) * moments.cov + s0), w)
-    scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * (y * y).sum(axis=1)
+    c = (d0 - k - 1.0) * (n - 1.0) / n
+    scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * ((n - 1) * v_w + c * v_rw)
     _require(scale_sq > 0)
     alphas = np.asarray(alphas, dtype=float)
     df = df[:, None]
@@ -109,7 +122,7 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, pri
         else:
             _require(df > 1)
             factors.append(_t_es_factor(df, alphas, q))
-    return _risk_values(moments.mean @ w, np.sqrt(scale_sq), np.stack(factors, axis=-1))
+    return _risk_values(moments.mean @ weights.w, np.sqrt(scale_sq), np.stack(factors, axis=-1))
 
 
 def _fmt(x: float) -> str:
@@ -147,9 +160,9 @@ class VolatilitySensitive:
         sigma = moments.std
         _require(sigma > _FLOOR_MARGIN * moments.floor)
         ratio = moments.short_std(self.n_r) / sigma
-        cov_recent = moments.cov * ratio[:, :, None] * ratio[:, None, :]
+        _require(ratio > 0)  # D positive definite, so S0 is when cov is
         v_w = _quad(moments.cov, weights.w)
-        v_rw = _quad(cov_recent, weights.w)
+        v_rw = _quad(moments.cov, ratio * weights.w)
         _require(v_w > 0)
         high = np.maximum(1.0, v_rw / v_w) ** self.h
         low = 1.0
@@ -159,7 +172,7 @@ class VolatilitySensitive:
         n, k = moments.window, weights.k
         d0 = np.maximum(k + 2.0, n * high * low)
         r0 = float(n) if self.r0 is None else float(self.r0)
-        return _conjugate_batch(moments, weights, d0, cov_recent, r0, alphas, measures)
+        return _conjugate_batch(moments, weights, d0, v_w, v_rw, r0, alphas, measures)
 
 
 @dataclass(frozen=True)
@@ -193,7 +206,8 @@ class EmpiricalBayes:
         n = float(moments.window)
         d0 = np.full(moments.days, n if self.d0 is None else float(self.d0))
         r0 = n if self.r0 is None else float(self.r0)
-        return _conjugate_batch(moments, weights, d0, moments.cov, r0, alphas, measures)
+        v_w = _quad(moments.cov, weights.w)
+        return _conjugate_batch(moments, weights, d0, v_w, v_w, r0, alphas, measures)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Student-t distribution functions used by the closed-form risk formulas.
 
-The CDF is evaluated through the regularized incomplete beta function in its
-tail-stable form; the quantile is scipy's ``stdtrit``, which also serves the
-batched engine elementwise, so both paths share one quantile function.
+The CDF is scipy's ``stdtr`` and the quantile its inverse ``stdtrit``, which
+also serves the batched engine elementwise, so both paths share one quantile
+function.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.special import betainc, ndtr, ndtri, stdtrit
+from scipy.special import ndtri, stdtr, stdtrit
 
 from .errors import DegreesOfFreedomError, ParameterError
 
@@ -18,7 +18,6 @@ __all__ = [
     "t_pdf",
     "t_quantile",
     "normal_quantile",
-    "normal_cdf",
     "normal_pdf",
     "normal_es_factor",
 ]
@@ -31,25 +30,8 @@ def _check_df(df: float) -> float:
 
 
 def t_cdf(df: float, x: float) -> float:
-    """CDF of the standard t-distribution with ``df`` degrees of freedom.
-
-    Evaluated through the regularized incomplete beta function, picking
-    whichever of the two symmetric orientations keeps the beta argument at or
-    below one half: the central form I_y(1/2, df/2) with y = x^2/(df + x^2)
-    for small |x|, and the tail form I_z(df/2, 1/2) with z = df/(df + x^2)
-    for large |x|. Both arguments are then computed without cancellation.
-    """
-    df = _check_df(df)
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    x2 = x * x
-    if x2 <= df:
-        y = x2 / (df + x2)
-        half_center = 0.5 * float(betainc(0.5, df / 2.0, y))
-        return 0.5 + half_center if x > 0 else 0.5 - half_center
-    tail = 0.5 * float(betainc(df / 2.0, 0.5, df / (df + x2)))
-    return 1.0 - tail if x > 0 else tail
+    """CDF of the standard t-distribution with ``df`` degrees of freedom."""
+    return float(stdtr(_check_df(df), float(x)))
 
 
 def t_pdf(df: float, x: float) -> float:
@@ -83,10 +65,6 @@ def normal_quantile(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ParameterError(f"quantile level must lie strictly inside (0, 1), got {p!r}")
     return float(ndtri(p))
-
-
-def normal_cdf(x: float) -> float:
-    return float(ndtr(float(x)))
 
 
 def normal_pdf(x: float) -> float:

@@ -60,7 +60,8 @@ def posterior_predictive_samples(
 
     The inverse-Wishart degrees of freedom convention here is the one where
     the marginal portfolio predictive has n + d0 - 2k t-degrees of freedom;
-    scipy's parameterization absorbs a k+1 shift.
+    scipy's parameterization absorbs a k+1 shift. Sigma is drawn by
+    :func:`inverse_wishart_draws`, which matches scipy's sampler to rounding.
     """
     data = np.asarray(window_data, dtype=float)
     n, k = data.shape
@@ -73,12 +74,12 @@ def posterior_predictive_samples(
     scipy_df = n + d0 - k - 1
 
     rng = np.random.default_rng(seed)
+    c = np.linalg.cholesky(scale)
     out = np.empty(n_draws)
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
-        sigma = sstats.invwishart.rvs(df=scipy_df, scale=scale, size=m, random_state=rng)
-        sigma = sigma.reshape(m, k, k)
+        sigma = inverse_wishart_draws(scipy_df, c, m, rng)
         chol = np.linalg.cholesky(sigma)
         z = rng.standard_normal((m, k))
         mu = post_mean + np.einsum("mij,mj->mi", chol, z) / np.sqrt(kappa_n)
@@ -88,6 +89,26 @@ def posterior_predictive_samples(
         out[done:done + m] = w_mu + np.sqrt(w_sigma_w) * g
         done += m
     return out
+
+
+def inverse_wishart_draws(df: float, c: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """``m`` inverse-Wishart draws with ``df`` degrees of freedom (scipy's
+    convention) and scale ``c c'``, ``c`` lower triangular.
+
+    The Bartlett factors ``A`` come from ``rng`` in the order
+    ``scipy.stats.invwishart.rvs`` draws them: the normals below the
+    diagonal, then the chi variates on it. ``inv(A)`` is the lower Cholesky
+    factor of an inverse-Wishart draw with identity scale, so each draw is
+    ``c inv(A) inv(A)' c'``, formed here for the whole batch at once where
+    scipy loops over the draws.
+    """
+    k = c.shape[0]
+    a = np.zeros((m, k, k))
+    below, diag = np.tril_indices(k, -1), np.arange(k)
+    a[:, below[0], below[1]] = rng.normal(size=(m, below[0].size))
+    a[:, diag, diag] = rng.chisquare(df - k + 1 + diag, size=(m, k)) ** 0.5
+    ca = c @ np.linalg.inv(a)
+    return ca @ ca.transpose(0, 2, 1)
 
 
 def empirical_quantile_band(samples: np.ndarray, p: float, n_se: float = 3.0):

@@ -200,6 +200,35 @@ def test_errors_match_scalar_path_and_spare_other_methods(make, monkeypatch):
         estimate_series(returns, weights, cfg, methods, ids)
 
 
+class FailsOnShock:
+    """``sample`` on the scalar path only, raising on any window that holds
+    a return above 0.4."""
+
+    label = "shock"
+
+    def validate(self, window, k):
+        pass
+
+    def day_estimates(self, window, weights, alphas, measures):
+        if window.data.max() > 0.4:
+            raise NumericalError("a shock is in the window")
+        return SampleNormal().day_estimates(window, weights, alphas, measures)
+
+
+# vs(4,2,0) first fails on day 10, the first window of the flat column. The
+# error of the earliest day wins, and of the earliest method on a tie.
+@pytest.mark.parametrize("shock_day, winner", [(9, "shock"), (10, "vs(4,2,0)"), (11, "vs(4,2,0)")])
+def test_estimate_series_raises_the_earliest_days_error(shock_day, winner):
+    window = 60
+    returns = _late_flat_column(correlated_returns(3, window + 20, 3), window)
+    returns[window - 1 + shock_day, 0] = 0.5
+    methods = [VolatilitySensitive(4, 2.0, 0.0), FailsOnShock()]
+    weights = equal_weights(3)
+    errors = {m.label: scalar_first_error(returns, weights, window, m) for m in methods}
+    with pytest.raises(type(errors[winner]), match=re.escape(str(errors[winner]))):
+        estimate_series(returns, weights, RollingConfig(window=window, levels=(0.99,)), methods)
+
+
 def test_segmented_days_match_one_segment(monkeypatch):
     returns = correlated_returns(5, 90, 3, shock_rows=20, shock=3.0)
     weights = equal_weights(3)

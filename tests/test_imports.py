@@ -66,6 +66,28 @@ def test_lazy_package_names_resolve():
         riskbench.not_a_name
 
 
+# The package's public names; changing this list changes the API.
+PUBLIC_NAMES = [
+    "BacktestReport", "ConjugateHyperparams", "DataError", "DccParams", "DegenerateAssetError",
+    "DegreesOfFreedomError", "DimensionError", "EmpiricalBayes", "HitSequence", "MvnParams",
+    "NumericalError", "ParameterError", "PmvnParams", "PmvnPeriod", "PortfolioWeights",
+    "PredictiveParams", "ReturnWindow", "RiskEstimate", "RiskMeasure", "RiskbenchError",
+    "RollingConfig", "RollingMoments", "SampleNormal", "SampleStats", "SimRequest",
+    "ValidationError", "VolatilityDiagnostics", "VolatilitySensitive", "VsConfig", "Zone",
+    "__version__", "binomial_cdf", "classify_zone", "cvar_quantile_factor", "eb_hyperparams",
+    "equal_weights", "estimate_series", "hit_sequence", "normal_es_factor", "normal_quantile",
+    "parse_method", "parse_methods", "portfolio_return", "posterior_predictive",
+    "replication_seed", "risk_estimate", "rolling_forecasts", "rolling_moments", "run_backtest",
+    "sample_method_estimate", "sample_stats", "short_window_std", "simulate", "simulate_dcc",
+    "simulate_mvn", "simulate_pmvn", "simulate_pmvn_detail", "t_cdf", "t_pdf", "t_quantile",
+    "traffic_light", "var_quantile_factor", "vs_hyperparams",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(riskbench.__all__) == PUBLIC_NAMES
+
+
 def test_scipy_loaded_before_worker_pool_starts(tmp_path):
     seen = run_fresh_python("""
         import contextlib, io, json, sys

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from riskbench import DegreesOfFreedomError, ParameterError, t_cdf, t_pdf, t_quantile
 from riskbench.studentt import normal_es_factor, normal_quantile
@@ -66,6 +67,14 @@ def test_heavy_tail_small_df():
     # quantiles grow rapidly as df drops below 1
     assert t_quantile(0.5, 0.999) > t_quantile(1, 0.999) > t_quantile(2, 0.999)
     assert abs(t_cdf(0.5, t_quantile(0.5, 0.999)) - 0.999) < 1e-10
+
+
+@pytest.mark.parametrize("df, x", [(250, -8.5), (1e5, -8.0), (100, -9.0), (1000, -7.5)])
+def test_cdf_lower_tail_relative_accuracy(df, x):
+    # Far in the lower tail with x^2 <= df, where 0.5 minus the central mass
+    # cancels; the quadrature of the density keeps its relative accuracy.
+    expected, _ = quad(lambda u: t_pdf(df, u), -math.inf, x, epsabs=0, epsrel=1e-13)
+    assert t_cdf(df, x) == pytest.approx(expected, rel=1e-8, abs=0)
 
 
 def test_pdf_matches_cdf_derivative():
