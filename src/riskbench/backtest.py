@@ -10,9 +10,12 @@ shared by all methods, and each estimator's ``batch_estimates`` maps them to
 all days' forecasts as one array program. (Days are taken in memory-bounded
 segments; at the README shape one segment holds them all.) The per-day
 scalar path, each estimator's ``day_estimates`` on one :class:`ReturnWindow`
-at a time, is the reference. It runs instead for objects that only define
-``day_estimates``, and for a method whose batched checks fail, so that
-method fails with exactly the scalar error of its first bad day.
+at a time, is the reference. It runs on exactly the days the batched path
+leaves NaN: the days where a batched check fails, and every day of an
+object that only defines ``day_estimates`` or of weights of the wrong
+length. Batched checks are stricter than the scalar ones, so the first of
+those days that raises is the method's first bad day, and the method fails
+with exactly the scalar error of it.
 
 The driver hands back, per method, either its forecasts or the day and
 error of its first failure (day -1 for a failed precondition).
@@ -34,7 +37,6 @@ import numpy as np
 
 from .conjugate import RiskEstimate, RiskMeasure
 from .errors import DimensionError, ParameterError, ValidationError
-from .estimators import BatchCheckFailed
 from .returns import PortfolioWeights, ReturnWindow, rolling_moments
 
 __all__ = [
@@ -133,19 +135,18 @@ def _check_method(returns: np.ndarray, cfg: RollingConfig, method) -> None:
     method.validate(cfg.window, returns.shape[1])
 
 
-def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, asset_ids):
-    """Scalar reference engine: ``method.day_estimates`` on one trailing
-    window at a time. Returns ``(days, levels, measures)``, or the
-    ``(day, error)`` of the first day that raises."""
-    shape = (len(cfg.levels), len(measures))
-    out = np.empty((returns.shape[0] - cfg.window,) + shape)
-    for day in range(len(out)):
+def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, out, asset_ids):
+    """Scalar reference engine: ``method.day_estimates`` on the trailing
+    window of each day that is NaN in ``out``, in day order. Returns the
+    filled ``(days, levels, measures)`` array, or the ``(day, error)`` of the
+    first such day that raises."""
+    for day in np.flatnonzero(np.isnan(out).any(axis=(1, 2))):
         try:
             window = ReturnWindow.from_matrix(returns[day:day + cfg.window], asset_ids)
             estimates = method.day_estimates(window, weights, cfg.levels, measures)
         except (ValidationError, ArithmeticError) as exc:
-            return day, exc
-        out[day] = np.reshape([est.value for est in estimates], shape)
+            return int(day), exc
+        out[day] = np.reshape([est.value for est in estimates], out.shape[1:])
     return out
 
 
@@ -155,36 +156,31 @@ def _forecasts(returns, weights, cfg: RollingConfig, methods, measures, asset_id
 
     Days are taken in segments whose ``(days, k, k)`` moment arrays fit in
     ``_SEGMENT_BYTES``; each segment's moments are computed once and shared
-    by every method. A method with no ``batch_estimates``, or whose batched
-    checks fail on some segment, runs day by day instead.
+    by every method with a ``batch_estimates``. The days it leaves NaN, and
+    all days of the other methods, then run day by day.
     """
     t0, k = returns.shape
+    days = t0 - cfg.window
     out = []
     for method in methods:
         try:
             _check_method(returns, cfg, method)
-            out.append(None)
+            out.append(np.full((days, len(cfg.levels), len(measures)), np.nan))
         except (ValidationError, ArithmeticError) as exc:
             out.append((-1, exc))
-    parts = {
-        j: [] for j, m in enumerate(methods)
-        if out[j] is None and hasattr(m, "batch_estimates") and weights.k == k
-    }
+    batched = [j for j, m in enumerate(methods)
+               if not isinstance(out[j], tuple) and hasattr(m, "batch_estimates") and weights.k == k]
     step = max(1, _SEGMENT_BYTES // (8 * k * k))
-    for start in range(0, t0 - cfg.window, step):
-        if not parts:
+    for start in range(0, days, step):
+        if not batched:
             break
         moments = rolling_moments(returns[start:start + step + cfg.window], cfg.window)
-        for j in list(parts):
-            try:
-                parts[j].append(methods[j].batch_estimates(moments, weights, cfg.levels, measures))
-            except BatchCheckFailed:
-                del parts[j]
-    for j, method in enumerate(methods):
-        if out[j] is None:
-            out[j] = (np.concatenate(parts[j]) if j in parts
-                      else _day_by_day(returns, weights, cfg, method, measures, asset_ids))
-    return out
+        for j in batched:
+            out[j][start:start + step] = methods[j].batch_estimates(moments, weights, cfg.levels,
+                                                                    measures)
+    return [values if isinstance(values, tuple)
+            else _day_by_day(returns, weights, cfg, method, measures, values, asset_ids)
+            for method, values in zip(methods, out)]
 
 
 def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, method,

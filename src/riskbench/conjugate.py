@@ -39,9 +39,6 @@ __all__ = [
 ]
 
 _SYM_RTOL = 1e-12
-# Negative quadratic forms larger than this (relative to the matrix scale)
-# indicate a genuinely broken matrix rather than roundoff.
-_QUAD_CLAMP_RTOL = 1e-9
 
 
 class RiskMeasure(str, Enum):
@@ -121,28 +118,16 @@ class RiskEstimate:
 
 
 def _quad_form_spd(mat: np.ndarray, w: np.ndarray) -> float:
-    """w' M w for a symmetric positive (semi)definite M, kept nonnegative.
-
-    A Cholesky factorization guarantees nonnegativity under roundoff; if it
-    fails, the raw quadratic form is used and only roundoff-sized negatives
-    are clamped to zero.
-    """
+    """w' M w for a symmetric positive definite M, through its Cholesky
+    factor so that roundoff cannot make it negative."""
     if mat.shape[0] == 1:
         return float(mat[0, 0] * w[0] * w[0])
     try:
         chol = np.linalg.cholesky(mat)
-        y = chol.T @ w
-        return float(y @ y)
     except np.linalg.LinAlgError:
-        quad = float(w @ mat @ w)
-        if quad < 0:
-            scale = float(np.abs(mat).max()) * float(w @ w)
-            if abs(quad) > _QUAD_CLAMP_RTOL * max(scale, 1e-300):
-                raise NumericalError(
-                    f"quadratic form is negative beyond roundoff ({quad:.3e})"
-                ) from None
-            quad = 0.0
-        return quad
+        raise NumericalError("posterior scale matrix is not positive definite") from None
+    y = chol.T @ w
+    return float(y @ y)
 
 
 def posterior_predictive(

@@ -4,13 +4,15 @@ Each estimator is an immutable config with a stable ``label`` and a
 ``day_estimates`` method that fits once on a window and prices every
 requested (level, measure) pair from that single fit. That per-day method is
 the scalar reference. ``batch_estimates`` computes the same numbers for every
-evaluation day of a history at once from shared :class:`RollingMoments`; when
-one of its checks fails it raises :class:`BatchCheckFailed`, and the engine
-reruns that method day by day so the scalar path decides and raises.
+evaluation day of a history at once from shared :class:`RollingMoments`. Each
+of its checks is a per-day mask, and a day that fails any of them is NaN: the
+engine prices exactly those days on the scalar path, which then decides and
+raises.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -29,25 +31,15 @@ __all__ = [
     "SampleNormal",
     "parse_method",
     "parse_methods",
-    "BatchCheckFailed",
 ]
 
 # Batched checks are stricter than the scalar ones, so that rounding
 # differences between the two paths cannot hide a scalar error: a std within
 # this factor of the degenerate floor, or a Cholesky pivot whose square is
-# below this fraction of its diagonal entry, sends the method to the scalar
+# below this fraction of its diagonal entry, sends that day to the scalar
 # path, which then decides.
 _FLOOR_MARGIN = 2.0
 _PIVOT_RTOL = 1e-8
-
-
-class BatchCheckFailed(Exception):
-    """A batched check failed; the day-by-day scalar path must decide."""
-
-
-def _require(ok) -> None:
-    if not np.all(ok):
-        raise BatchCheckFailed
 
 
 def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -57,21 +49,12 @@ def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...ij,...j->...", w, mats, w)
 
 
-def _require_pd(mats: np.ndarray) -> None:
-    """:class:`BatchCheckFailed` unless every matrix of the stack is positive
-    definite with room to spare: each Cholesky pivot's square above
-    ``_PIVOT_RTOL`` times its diagonal entry."""
-    try:
-        chol = np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        raise BatchCheckFailed from None
-    pivots = np.diagonal(chol, axis1=1, axis2=2)
-    _require(pivots * pivots > _PIVOT_RTOL * np.diagonal(mats, axis1=1, axis2=2))
-
-
-def _risk_values(location, scale, factors) -> np.ndarray:
-    """``-location + factor * scale`` as ``(days, levels, measures)``."""
-    return -location[:, None, None] + factors * scale[:, None, None]
+def _risk_values(location, scale, factors, ok) -> np.ndarray:
+    """``-location + factor * scale`` as ``(days, levels, measures)``, NaN on
+    the days where ``ok`` is false."""
+    out = -location[:, None, None] + factors * scale[:, None, None]
+    out[~ok] = np.nan
+    return out
 
 
 def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, measures,
@@ -84,7 +67,7 @@ def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, 
 
 
 def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w, v_rw,
-                     r0: float, alphas, measures) -> np.ndarray:
+                     r0: float, alphas, measures, ok=True) -> np.ndarray:
     """Conjugate predictive risk for every day, with ``m0`` the window mean
     and prior scale ``S0 = c D cov D``, ``c = (d0-k-1)(n-1)/n``.
 
@@ -96,33 +79,34 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     ``v_rw = (Dw)' cov (Dw)``, the two portfolio variances that set ``d0``.
     Then ``df = n + d0 - 2k``, squared scale ``(n+r0+1)/((n+r0) df) * w'Sw``
     and location ``w' mean``. ``D`` is ``diag(sigma_r/sigma)`` for ``vs``
-    and the identity for ``eb``; the caller ensures it is positive.
+    and the identity for ``eb``; the caller's ``ok`` marks the days where it
+    is positive. The days that fail ``ok`` or any check here are NaN.
 
     ``ConjugateHyperparams`` requires ``S0`` positive definite. The relative
-    pivot test of :func:`_require_pd` does not change when a matrix is
+    pivot test on ``moments.pivots`` does not change when a matrix is
     multiplied by a positive scalar or scaled by a positive diagonal on both
     sides, so one check of ``cov`` decides it for ``S0``. The posterior
     matrix, a sum of two positive definite matrices, then needs no factor:
     both terms of its quadratic form are positive.
     """
     n, k = moments.window, weights.k
-    _require_pd(moments.cov)
+    diag = np.diagonal(moments.cov, axis1=1, axis2=2)
+    ok = ok & (moments.pivots * moments.pivots > _PIVOT_RTOL * diag).all(axis=1)
     df = n + d0 - 2 * k
-    _require(df > 0)
     c = (d0 - k - 1.0) * (n - 1.0) / n
     scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * ((n - 1) * v_w + c * v_rw)
-    _require(scale_sq > 0)
+    ok &= (df > 0) & (scale_sq > 0)
     alphas = np.asarray(alphas, dtype=float)
-    df = df[:, None]
-    q = stdtrit(df, alphas)
+    q = stdtrit(df[:, None], alphas)
     factors = []
     for measure in measures:
         if RiskMeasure(measure) is RiskMeasure.VAR:
             factors.append(q)
         else:
-            _require(df > 1)
-            factors.append(_t_es_factor(df, alphas, q))
-    return _risk_values(moments.mean @ weights.w, np.sqrt(scale_sq), np.stack(factors, axis=-1))
+            ok &= df > 1
+            factors.append(_t_es_factor(df[:, None], alphas, q))
+    return _risk_values(moments.mean @ weights.w, np.sqrt(scale_sq), np.stack(factors, axis=-1),
+                        ok)
 
 
 def _fmt(x: float) -> str:
@@ -155,24 +139,26 @@ class VolatilitySensitive:
         hp, _ = vs_hyperparams(window, weights, cfg)
         return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
+    @np.errstate(all="ignore")  # the days that divide by zero are masked
     def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
-        """``day_estimates`` for every day, as ``(days, levels, measures)``."""
+        """``day_estimates`` for every day, as ``(days, levels, measures)``,
+        NaN on the days the scalar path must decide."""
         sigma = moments.std
-        _require(sigma > _FLOOR_MARGIN * moments.floor)
         ratio = moments.short_std(self.n_r) / sigma
-        _require(ratio > 0)  # D positive definite, so S0 is when cov is
+        # ratio > 0 keeps D positive definite, so S0 is when cov is
+        ok = ((sigma > _FLOOR_MARGIN * moments.floor) & (ratio > 0)).all(axis=1)
         v_w = _quad(moments.cov, weights.w)
         v_rw = _quad(moments.cov, ratio * weights.w)
-        _require(v_w > 0)
+        ok &= v_w > 0
         high = np.maximum(1.0, v_rw / v_w) ** self.h
         low = 1.0
         if self.l != 0:
-            _require(v_rw > 0)
+            ok &= v_rw > 0
             low = np.maximum(1.0, v_w / v_rw) ** self.l
         n, k = moments.window, weights.k
         d0 = np.maximum(k + 2.0, n * high * low)
         r0 = float(n) if self.r0 is None else float(self.r0)
-        return _conjugate_batch(moments, weights, d0, v_w, v_rw, r0, alphas, measures)
+        return _conjugate_batch(moments, weights, d0, v_w, v_rw, r0, alphas, measures, ok)
 
 
 @dataclass(frozen=True)
@@ -192,17 +178,19 @@ class EmpiricalBayes:
 
     def validate(self, window: int, k: int) -> None:
         d0 = window if self.d0 is None else self.d0
-        if d0 < k + 2:
-            raise ParameterError(f"{self.label}: d0 = {d0} must be at least k+2 = {k + 2}")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ParameterError(f"{self.label}: r0 must be positive")
+        if not k + 2 <= d0 < math.inf:
+            raise ParameterError(f"{self.label}: d0 = {d0} must be finite and at least k+2 = {k + 2}")
+        if self.r0 is not None and not 0 < self.r0 < math.inf:
+            raise ParameterError(f"{self.label}: r0 must be finite and positive")
 
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
         hp = eb_hyperparams(window, d0=self.d0, r0=self.r0)
         return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
+    @np.errstate(all="ignore")  # the days that divide by zero are masked
     def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
-        """``day_estimates`` for every day, as ``(days, levels, measures)``."""
+        """``day_estimates`` for every day, as ``(days, levels, measures)``,
+        NaN on the days the scalar path must decide."""
         n = float(moments.window)
         d0 = np.full(moments.days, n if self.d0 is None else float(self.d0))
         r0 = n if self.r0 is None else float(self.r0)
@@ -229,16 +217,17 @@ class SampleNormal:
             for measure in measures
         ]
 
+    @np.errstate(all="ignore")  # the days of a negative variance are masked
     def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
-        """``day_estimates`` for every day, as ``(days, levels, measures)``."""
+        """``day_estimates`` for every day, as ``(days, levels, measures)``,
+        NaN on the days the scalar path must decide."""
         variance = _quad(moments.cov, weights.w)
-        _require(variance > 0)
         factors = np.array([
             [normal_quantile(a) if RiskMeasure(m) is RiskMeasure.VAR else normal_es_factor(a)
              for m in measures]
             for a in alphas
         ])
-        return _risk_values(moments.mean @ weights.w, np.sqrt(variance), factors)
+        return _risk_values(moments.mean @ weights.w, np.sqrt(variance), factors, variance > 0)
 
 
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -261,15 +250,21 @@ def parse_method(spec: str, nr: int = 4, h: float = 2.0, l: float = 0.0, r0: flo
 
     def num(text: str, what: str) -> float:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
-            raise ParameterError(f"invalid {what} {text!r} in method spec {spec!r}") from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParameterError(f"invalid {what} {text!r} in method spec {spec!r}")
+        return value
 
     if name == "vs":
         if args and len(args) not in (3, 4):
             raise ParameterError(f"vs takes 3 or 4 arguments (n_r,h,l[,r0]), got {spec!r}")
         if args:
-            nr = int(num(args[0], "n_r"))
+            nr = num(args[0], "n_r")
+            if not nr.is_integer():
+                raise ParameterError(f"invalid n_r {args[0]!r} in method spec {spec!r}")
+            nr = int(nr)
             h = num(args[1], "h")
             l = num(args[2], "l")
             if len(args) == 4:

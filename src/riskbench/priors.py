@@ -20,7 +20,7 @@ from .errors import DegenerateAssetError, NumericalError, ParameterError
 from .returns import (
     PortfolioWeights,
     ReturnWindow,
-    _DEGENERATE_ULPS,
+    _degenerate_floor,
     _frozen_array,
     sample_stats,
     short_window_std,
@@ -54,10 +54,12 @@ class VsConfig:
     def __post_init__(self):
         if int(self.n_r) < 2:
             raise ParameterError(f"short window length must be >= 2, got {self.n_r!r}")
-        if not self.h >= 0:
-            raise ParameterError(f"high-volatility exponent h must be >= 0, got {self.h!r}")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ParameterError(f"r0 must be positive when given, got {self.r0!r}")
+        if not 0 <= self.h < math.inf:
+            raise ParameterError(f"high-volatility exponent h must be finite and >= 0, got {self.h!r}")
+        if not math.isfinite(self.l):
+            raise ParameterError(f"low-volatility exponent l must be finite, got {self.l!r}")
+        if self.r0 is not None and not 0 < self.r0 < math.inf:
+            raise ParameterError(f"r0 must be finite and positive when given, got {self.r0!r}")
         object.__setattr__(self, "n_r", int(self.n_r))
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "l", float(self.l))
@@ -124,7 +126,7 @@ def vs_hyperparams(
     sigma = short_window_std(window, n, stats.mean)
     # A constant column produces a std at the rounding floor of its own
     # magnitude rather than an exact zero; treat both as degenerate.
-    floor = np.abs(window.data).max(axis=0) * _DEGENERATE_ULPS * np.finfo(float).eps
+    floor = _degenerate_floor(np.abs(window.data).max(axis=0), n)
     zero = np.flatnonzero(sigma <= floor)
     if zero.size:
         raise DegenerateAssetError(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.linalg._umath_linalg import cholesky_lo
 
 from .errors import DimensionError, ParameterError, ValidationError
 
@@ -32,9 +33,18 @@ WEIGHT_SUM_TOL = 1e-12
 # Days per block of the rolling moment pass. A block centres a (days, k, n)
 # copy of its windows, so this bounds that temporary for long windows.
 _BLOCK_DAYS = 32
-# A column whose std is at or below this many ulps of its largest magnitude
-# is constant up to rounding: it is degenerate.
+# A column whose std is at or below max(_DEGENERATE_ULPS, n) ulps of its
+# largest magnitude is constant up to rounding: it is degenerate. The floor
+# grows with the window length n because numpy sums a window's rows one after
+# another, so a constant column's mean, and with it its std, is off by up to
+# about 0.12 n ulps.
 _DEGENERATE_ULPS = 16.0
+
+
+def _degenerate_floor(absmax, n: int):
+    """The std at or below which a column of ``n`` rows whose largest
+    magnitude is ``absmax`` counts as constant."""
+    return absmax * (max(_DEGENERATE_ULPS, n) * np.finfo(float).eps)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -194,8 +204,9 @@ class RollingMoments:
     row ``d + window``. ``mean`` is ``(days, k)``, ``cov`` the unbiased
     covariance ``(days, k, k)``, ``std`` the per-asset std about the window
     mean (as :func:`short_window_std` with ``n_r = window``) and ``floor``
-    the degenerate-asset threshold on it. ``columns`` is the history as
-    ``k x T``.
+    the degenerate-asset threshold on it. ``pivots`` is the diagonal of each
+    ``cov``'s Cholesky factor, NaN where ``cov`` is not positive definite.
+    ``columns`` is the history as ``k x T``.
     """
 
     columns: np.ndarray
@@ -204,6 +215,7 @@ class RollingMoments:
     cov: np.ndarray
     std: np.ndarray
     floor: np.ndarray
+    pivots: np.ndarray
 
     @property
     def days(self) -> int:
@@ -223,9 +235,9 @@ class RollingMoments:
 
 
 def rolling_moments(returns, window: int) -> RollingMoments:
-    """:func:`sample_stats`, the long-window std and the degenerate floor of
-    every trailing ``window``-row window of ``returns`` (``T x k``), for the
-    ``T - window`` evaluation days.
+    """:func:`sample_stats`, the long-window std, the degenerate floor and
+    the Cholesky pivots of the covariance of every trailing ``window``-row
+    window of ``returns`` (``T x k``), for the ``T - window`` evaluation days.
 
     Each block of days is centred on its own means before any product is
     formed (two-pass). One-pass forms (prefix sums, sliding updates) cancel
@@ -252,8 +264,11 @@ def rolling_moments(returns, window: int) -> RollingMoments:
         mean[block_days] = m
         cov[block_days] = (c + c.transpose(0, 2, 1)) / 2.0
         std[block_days] = np.sqrt((dev * dev).sum(axis=2) / (window - 1))
-        floor[block_days] = np.abs(block).max(axis=2) * _DEGENERATE_ULPS * np.finfo(float).eps
-    return RollingMoments(columns=columns, window=window, mean=mean, cov=cov, std=std, floor=floor)
+        floor[block_days] = _degenerate_floor(np.abs(block).max(axis=2), window)
+    with np.errstate(invalid="ignore"):  # cholesky_lo fills a failed factor with NaN
+        pivots = np.diagonal(cholesky_lo(cov, signature="d->d"), axis1=1, axis2=2)
+    return RollingMoments(columns=columns, window=window, mean=mean, cov=cov, std=std,
+                          floor=floor, pivots=pivots)
 
 
 def portfolio_return(x, weights: PortfolioWeights) -> float:

@@ -342,6 +342,16 @@ def test_start_date_past_the_calendar_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("spec", ["vs(nan,2,0)", "vs(1e400,2,0)", "vs(2.7,2,0)", "vs(4,2,nan)",
+                                  "vs(4,inf,0)", "vs(4,2,0,inf)", "eb(inf,n)", "eb(n,inf)"])
+def test_non_finite_or_fractional_method_spec_exits_2(tmp_path, capsys, spec):
+    assert run_cli("backtest", "--scenario", "pmvn", "--replications", "2", "--method", spec,
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid ") and repr(spec) in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dcc_loss_of_positive_definiteness_exits_4(tmp_path, capsys):
     cfg = tmp_path / "dcc.ini"
     cfg.write_text("[scenario.dcc]\ncorrelation = 0.9999999999999998\n")

@@ -19,7 +19,7 @@ from riskbench import (
     t_cdf,
     var_quantile_factor,
 )
-from riskbench.conjugate import PredictiveParams
+from riskbench.conjugate import PredictiveParams, _quad_form_spd
 
 from _oracles import (
     empirical_quantile_band,
@@ -84,6 +84,12 @@ def test_df_precondition():
     small = ReturnWindow.from_matrix(window.data[:2])
     with pytest.raises(DegreesOfFreedomError):
         posterior_predictive(small, equal_weights(4), hp)
+
+
+def test_indefinite_scale_matrix_raises_even_with_positive_quadratic_form():
+    # w' M w = 1.5 > 0, but M has eigenvalue -1: no predictive scale exists.
+    with pytest.raises(NumericalError, match="not positive definite"):
+        _quad_form_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
 
 
 def test_var_factor_examples():

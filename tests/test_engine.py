@@ -249,6 +249,130 @@ def test_flat_column_error_names_the_asset():
     assert "'FLAT'" in str(exc)
 
 
+def test_late_constant_column_errors_match_scalar_path():
+    # At a window of 250 the rounding error of this column's mean lifts its
+    # std above a fixed 16-ulp floor; the scalar path must still call it
+    # degenerate, and the engine must report that same error.
+    window = 250
+    returns = correlated_returns(7, window + 40, 3)
+    returns[20:, 1] = 0.0123
+    ids = ("X", "FLAT", "Z")
+    weights = equal_weights(3)
+    methods = [VolatilitySensitive(4, 2.0, 0.0), EmpiricalBayes(), SampleNormal()]
+    cfg = RollingConfig(window=window, levels=(0.975, 0.99))
+    expected = {m.label: scalar_first_error(returns, weights, window, m, ids) for m in methods}
+    assert isinstance(expected["vs(4,2,0)"], DegenerateAssetError)
+    _, failures = run_backtest(returns, weights, cfg, methods, ids)
+    failed = {label: (type(exc), str(exc)) for label, exc in failures}
+    assert failed == {label: (type(ref), str(ref)) for label, ref in expected.items()
+                      if ref is not None}
+    with pytest.raises(DegenerateAssetError, match=re.escape(str(expected["vs(4,2,0)"]))):
+        estimate_series(returns, weights, cfg, methods, ids)
+
+
+class CountingScalarCalls:
+    """A method that counts the days priced on the scalar path."""
+
+    def __init__(self, method):
+        self.method, self.label, self.calls = method, method.label, 0
+
+    def validate(self, window, k):
+        self.method.validate(window, k)
+
+    def batch_estimates(self, moments, weights, alphas, measures):
+        return self.method.batch_estimates(moments, weights, alphas, measures)
+
+    def day_estimates(self, window, weights, alphas, measures):
+        self.calls += 1
+        return self.method.day_estimates(window, weights, alphas, measures)
+
+
+def test_scalar_path_runs_only_on_the_days_left_nan():
+    # Asset 2 is flat for the last 255 of 1,000 rows: only the last 5 of 750
+    # windows lie wholly inside the flat stretch.
+    window = 250
+    returns = correlated_returns(8, 1000, 5)
+    returns[-255:, 1] = 0.0
+    weights = equal_weights(5)
+    cfg = RollingConfig(window=window, levels=(0.975, 0.99))
+    methods = [CountingScalarCalls(m) for m in parse_methods(DEFAULT_METHODS)]
+    reports, failures = run_backtest(returns, weights, cfg, methods)
+    assert {label for label, _ in failures} == {"vs(4,2,0)", "vs(4,0,0)", "eb"}
+    assert {r.method for r in reports} == {"sample"}
+    moments = rolling_moments(returns, window)
+    for method in methods:
+        batched = method.method.batch_estimates(moments, weights, cfg.levels, (VAR,))
+        nan_days = np.isnan(batched).any(axis=(1, 2)).sum()
+        assert method.calls <= nan_days <= 5
+
+
+@st.composite
+def degenerate_stretch_cases(draw):
+    """An engine case with one column made flat, (nearly) collinear with
+    another or constant up to noise near the degenerate floor over a stretch
+    of rows that covers, or just misses, a whole window."""
+    returns, weights, window, method, levels, measures = draw(engine_cases())
+    returns = returns.copy()
+    t0, k = returns.shape
+    col = draw(st.integers(0, k - 1))
+    start = draw(st.integers(0, t0 - window))
+    stop = t0 - draw(st.integers(0, t0 - start - window + 1))
+    rows = slice(start, stop)
+    noise = np.random.default_rng(start).standard_normal(stop - start)
+    kind = draw(st.sampled_from(["flat", "near-flat"] + (["collinear"] if k > 1 else [])))
+    c = draw(st.sampled_from([0.0, 0.0123, -0.02, 0.05]))
+    if kind == "flat":
+        returns[rows, col] = c
+    elif kind == "collinear":
+        other = (col + draw(st.integers(1, k - 1))) % k
+        returns[rows, col] = (draw(st.floats(-3.0, 3.0)) * returns[rows, other]
+                              + draw(st.sampled_from([0.0, 1e-8, 1e-6, 1e-4])) * noise)
+    else:
+        floor = max(16, window) * np.finfo(float).eps * max(abs(c), 0.01)
+        returns[rows, col] = c + draw(st.floats(0.5, 4.0)) * floor * noise
+    return returns, weights, window, method, levels, measures
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_stretch_cases())
+def test_batched_is_nan_on_every_day_the_scalar_path_raises(case):
+    returns, weights, window, method, levels, measures = case
+    batched = method.batch_estimates(rolling_moments(returns, window), weights, levels, measures)
+    for day in range(returns.shape[0] - window):
+        try:
+            method.day_estimates(ReturnWindow.from_matrix(returns[day:day + window]), weights,
+                                 levels, measures)
+        except (ValidationError, ArithmeticError):
+            assert np.isnan(batched[day]).all()
+
+
+def test_near_degenerate_days_take_the_scalar_values():
+    # Column 1 is constant up to noise whose std falls from 3 to 1.5 times the
+    # degenerate floor: the later windows lie within the batched margin of the
+    # floor but above the floor itself.
+    window, k = 60, 3
+    returns = correlated_returns(9, window + 60, k)
+    c = 0.01
+    floor = window * np.finfo(float).eps * c
+    scale = np.where(np.arange(len(returns)) < window, 3.0, 1.5) * floor
+    returns[:, 1] = c + scale * np.random.default_rng(9).standard_normal(len(returns))
+    weights = equal_weights(k)
+    method = VolatilitySensitive(4, 2.0, 0.0)
+    cfg = RollingConfig(window=window, levels=(0.975, 0.99))
+    reports, failures = run_backtest(returns, weights, cfg, [method])
+    assert failures == [] and len(reports) == 2
+    measures = (VAR, CVAR)
+    batched = method.batch_estimates(rolling_moments(returns, window), weights, cfg.levels,
+                                     measures)
+    flagged = np.isnan(batched).any(axis=(1, 2))
+    assert 0 < flagged.sum() < len(flagged)
+    _, values = series_values(estimate_series(returns, weights, cfg, [method]))
+    values = values.reshape(batched.shape)
+    scalar = scalar_values(returns, weights, window, method, cfg.levels, measures)
+    np.testing.assert_array_equal(values[flagged], scalar[flagged])
+    np.testing.assert_allclose(values[~flagged], batched[~flagged], rtol=RTOL, atol=0)
+
+
 @st.composite
 def default_method_cases(draw):
     """A correlated return history, positive weights and a window that all

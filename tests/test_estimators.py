@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,9 @@ def test_parse_method_specs():
 
 
 def test_parse_method_errors():
-    for bad in ("vc(4,2,0)", "vs(4,2)", "vs(a,b,c)", "eb(1,2,3)", "sample(1)", ""):
+    for bad in ("vc(4,2,0)", "vs(4,2)", "vs(a,b,c)", "eb(1,2,3)", "sample(1)", "",
+                "vs(nan,2,0)", "vs(inf,2,0)", "vs(1e400,2,0)", "vs(2.7,2,0)", "vs(4,2,nan)",
+                "vs(4,inf,0)", "vs(4,2,0,inf)", "eb(nan,n)", "eb(inf,n)", "eb(n,inf)"):
         with pytest.raises(ParameterError):
             parse_method(bad)
     with pytest.raises(ParameterError):
@@ -43,6 +47,10 @@ def test_validate_window_constraints():
         VolatilitySensitive(n_r=4, h=2, l=0).validate(window=5, k=4)
     with pytest.raises(ParameterError):
         EmpiricalBayes(d0=4.0).validate(window=250, k=3)
+    for bad in (EmpiricalBayes(d0=math.nan), EmpiricalBayes(d0=math.inf),
+                EmpiricalBayes(r0=math.nan), EmpiricalBayes(r0=math.inf)):
+        with pytest.raises(ParameterError):
+            bad.validate(window=250, k=3)
     EmpiricalBayes().validate(window=250, k=3)
     SampleNormal().validate(window=250, k=3)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,10 @@ def test_vs_config_validation():
         VsConfig(n_r=4, h=-1, l=0)
     with pytest.raises(ParameterError):
         VsConfig(n_r=4, h=2, l=0, r0=0)
+    for bad in ({"h": math.inf}, {"h": math.nan}, {"l": math.inf}, {"l": math.nan},
+                {"r0": math.inf}, {"r0": math.nan}):
+        with pytest.raises(ParameterError):
+            VsConfig(**{"n_r": 4, "h": 2, "l": 0, **bad})
     VsConfig(n_r=4, h=0, l=-1.5)  # any real l is allowed
 
 
@@ -119,6 +125,18 @@ def test_vs_rejects_zero_variance_asset():
     window = ReturnWindow(data=data, asset_ids=("FLAT", "OK"))
     with pytest.raises(DegenerateAssetError, match="FLAT"):
         vs_hyperparams(window, equal_weights(2), VsConfig(n_r=4, h=2, l=0))
+
+
+# numpy sums a window's rows one after another, so a constant column's mean
+# is off by up to about 0.12 n ulps of the constant; at these lengths its std
+# lands above a fixed 16-ulp floor and used to set d0 from rounding noise.
+@pytest.mark.parametrize("c, n", [(0.0123, 250), (0.01, 250), (-0.02, 250), (0.05, 1000)])
+def test_vs_rejects_a_long_constant_column(c, n):
+    data = np.random.default_rng(0).normal(0, 0.01, (n, 3))
+    data[:, 1] = c
+    window = ReturnWindow(data=data, asset_ids=("A", "FLAT", "B"))
+    with pytest.raises(DegenerateAssetError, match="FLAT"):
+        vs_hyperparams(window, equal_weights(3), VsConfig(n_r=4, h=2, l=0))
 
 
 def test_vs_nr_exceeding_window():
