@@ -3,10 +3,13 @@ conjugate prior, baseline estimators, scenario simulators, and Basel
 traffic-light backtesting.
 
 The fitting modules (``backtest``, ``conjugate``, ``estimators``, ``priors``,
-``studentt``) import scipy, the slowest import of the package, so their
-names are loaded on first access. ``simulate``, ``returns`` and ``errors``
-are loaded eagerly: ``riskbench simulate`` and ``--version`` never import
-scipy.
+``studentt``) are loaded on first access to one of their names;
+``simulate``, ``returns`` and ``errors`` are loaded eagerly, so
+``riskbench simulate`` and ``--version`` load no fitting code. No module
+imports scipy, the slowest import of the package, at load time: only the
+scalar references ``studentt.t_quantile`` and ``studentt.t_cdf`` import it,
+when first called, so a backtest whose days the batched engine prices never
+loads it.
 """
 
 import importlib

@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -277,10 +276,11 @@ def _scenario_request(inputs, rep: int) -> SimRequest:
 def _resolve_backtest_inputs(cfg, args, command: str):
     """Shared backtest/estimate input resolution; validates before computing.
 
-    The fitting modules, and scipy with them, are imported here and not at
-    module level, so ``simulate`` and ``--version`` never load them. For
-    ``backtest`` this runs before the ``--jobs`` pool forks, so the workers
-    inherit scipy instead of each importing it.
+    The fitting modules are imported here and not at module level, so
+    ``simulate`` and ``--version`` never load them. They load no scipy: the
+    scalar reference imports it on the first day that the batched engine
+    cannot price, in whichever process that day is fitted, so a ``--jobs``
+    worker imports it only if one of its replications needs it.
     """
     from .backtest import RollingConfig
     from .estimators import parse_methods
@@ -371,6 +371,8 @@ def cmd_backtest(args) -> int:
                                                inputs["methods"], inputs["asset_ids"],
                                                bool(args.timing)))
     if jobs > 1 and len(sources) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool starts all its workers on the first submit: no more than replications.
         with ProcessPoolExecutor(max_workers=min(jobs, len(sources))) as pool:
             results = list(pool.map(run, enumerate(sources)))

@@ -17,13 +17,12 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .conjugate import RiskMeasure, _t_es_factor, posterior_predictive, risk_estimate
 from .errors import ParameterError
 from .priors import VsConfig, eb_hyperparams, sample_method_estimate, vs_hyperparams
 from .returns import PortfolioWeights, ReturnWindow, RollingMoments
-from .studentt import normal_es_factor, normal_quantile
+from .studentt import normal_es_factor, normal_quantile, t_quantiles
 
 __all__ = [
     "VolatilitySensitive",
@@ -80,7 +79,8 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     Then ``df = n + d0 - 2k``, squared scale ``(n+r0+1)/((n+r0) df) * w'Sw``
     and location ``w' mean``. ``D`` is ``diag(sigma_r/sigma)`` for ``vs``
     and the identity for ``eb``; the caller's ``ok`` marks the days where it
-    is positive. The days that fail ``ok`` or any check here are NaN.
+    is positive. The days that fail ``ok`` or any check here are NaN, as
+    are those whose t quantile did not converge (see ``t_quantiles``).
 
     ``ConjugateHyperparams`` requires ``S0`` positive definite. The relative
     pivot test on ``moments.pivots`` does not change when a matrix is
@@ -97,7 +97,7 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * ((n - 1) * v_w + c * v_rw)
     ok &= (df > 0) & (scale_sq > 0)
     alphas = np.asarray(alphas, dtype=float)
-    q = stdtrit(df[:, None], alphas)
+    q = t_quantiles(df, alphas)
     factors = []
     for measure in measures:
         if RiskMeasure(measure) is RiskMeasure.VAR:

@@ -235,8 +235,6 @@ def test_bad_numeric_config_value_exits_2(tmp_path, capsys, command, ini, key):
 
 
 def test_worker_pool_capped_at_replications(tmp_path, monkeypatch):
-    import riskbench.cli as cli
-
     created = []
 
     class RecordingPool:
@@ -254,7 +252,7 @@ def test_worker_pool_capped_at_replications(tmp_path, monkeypatch):
         def map(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
                    "--method", "sample", "--replications", "2", "--jobs", "5000",
                    "--out", str(tmp_path / "o")) == 0

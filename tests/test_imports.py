@@ -1,7 +1,8 @@
-"""Import hygiene: the simulate path loads no scipy, the package's lazily
-loaded names all resolve, and a backtest loads scipy before its worker pool
-starts. Each check runs in a fresh interpreter, because the test process has
-imported everything already."""
+"""Import hygiene: the simulate path loads neither scipy nor the process
+pool, the package's lazily loaded names all resolve, and backtest and
+estimate load scipy only on a day that the scalar reference prices. Each
+check runs in a fresh interpreter, because the test process has imported
+everything already."""
 
 import json
 import os
@@ -30,19 +31,20 @@ def test_simulate_and_version_load_no_scipy(tmp_path):
     loaded = run_fresh_python("""
         import contextlib, io, json, sys
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def heavy_modules():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
 
         from riskbench.cli import main
-        seen = {"import": scipy_modules()}
+        seen = {"import": heavy_modules()}
         with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
             main(["--version"])
-        seen["--version"] = scipy_modules()
+        seen["--version"] = heavy_modules()
         for scenario in ("mvn", "pmvn", "dcc"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["simulate", "--scenario", scenario, "--k", "3", "--t", "30",
                              "--out", scenario + ".csv"]) == 0
-        seen["simulate"] = scipy_modules()
+        seen["simulate"] = heavy_modules()
         print(json.dumps(seen))
     """, tmp_path)
     assert loaded == {"import": [], "--version": [], "simulate": []}
@@ -88,16 +90,19 @@ def test_public_names_are_pinned():
     assert sorted(riskbench.__all__) == PUBLIC_NAMES
 
 
-def test_scipy_loaded_before_worker_pool_starts(tmp_path):
+def test_backtest_and_estimate_load_no_scipy(tmp_path):
     seen = run_fresh_python("""
-        import contextlib, io, json, sys
-        import riskbench.cli as cli
+        import concurrent.futures, contextlib, io, json, sys
+        from riskbench.cli import main
 
-        seen = []
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        seen = {}
 
         class RecordingPool:
             def __init__(self, max_workers=None):
-                seen.append("scipy.special" in sys.modules)
+                seen["pool start"] = scipy_modules()
 
             def __enter__(self):
                 return self
@@ -108,11 +113,68 @@ def test_scipy_loaded_before_worker_pool_starts(tmp_path):
             def map(self, fn, iterable):
                 return map(fn, iterable)
 
-        cli.ProcessPoolExecutor = RecordingPool
+        concurrent.futures.ProcessPoolExecutor = RecordingPool
+        readme = ["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500", "--seed", "7",
+                  "--replications", "20", "--window", "250", "--alpha", "0.975,0.99",
+                  "--method", "vs(4,2,0)", "--method", "vs(4,0,0)", "--method", "eb",
+                  "--method", "sample"]
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
-                             "--method", "sample", "--replications", "2", "--jobs", "2",
-                             "--out", "bt"]) == 0
+            assert main(readme + ["--jobs", "1", "--out", "bt1"]) == 0
+            seen["--jobs 1"] = scipy_modules()
+            assert main(readme + ["--jobs", "2", "--out", "bt2"]) == 0
+            seen["--jobs 2"] = scipy_modules()
+            assert main(["estimate", "--scenario", "dcc", "--k", "4", "--t", "400",
+                         "--alpha", "0.975,0.999", "--out", "est.csv"]) == 0
+        seen["estimate"] = scipy_modules()
+        with open("est.csv") as fh:
+            header = fh.readline()
+        seen["measures"] = ["neg_var:" in header, "neg_cvar:" in header]
         print(json.dumps(seen))
     """, tmp_path)
-    assert seen == [True]
+    assert seen == {"pool start": [], "--jobs 1": [], "--jobs 2": [], "estimate": [],
+                    "measures": [True, True]}
+    assert (tmp_path / "bt1" / "report.csv").read_bytes() == \
+        (tmp_path / "bt2" / "report.csv").read_bytes()
+
+
+def test_scipy_loaded_only_on_scalar_days(tmp_path):
+    seen = run_fresh_python("""
+        import contextlib, io, json, sys
+        import numpy as np
+        from riskbench import RollingConfig, VolatilitySensitive, equal_weights, run_backtest
+        from riskbench.cli import main
+
+        def scipy_loaded():
+            return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+        # A flat column: the batched engine marks every vs and eb day, and the
+        # scalar reference rejects the first one before it reaches a t quantile.
+        rng = np.random.default_rng(8)
+        with open("flat.csv", "w") as fh:
+            fh.write("date,ALPHA,STALE\\n")
+            for day, value in enumerate(rng.normal(0, 0.01, 270)):
+                fh.write(f"2021-{1 + day // 28:02d}-{1 + day % 28:02d},{value:.10f},0\\n")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["backtest", "--input", "flat.csv", "--window", "250",
+                         "--method", "vs(4,2,0)", "--method", "eb", "--method", "sample",
+                         "--out", "bt"])
+        seen = {"flat": [code, err.getvalue(), scipy_loaded()]}
+
+        # Noise near the degenerate floor: the batched checks flag the later
+        # days and the scalar reference prices them, importing scipy.
+        returns = np.random.default_rng(9).normal(0, 0.01, (120, 3))
+        floor = 60 * np.finfo(float).eps * 0.01
+        scale = np.where(np.arange(120) < 60, 3.0, 1.5) * floor
+        returns[:, 1] = 0.01 + scale * np.random.default_rng(9).standard_normal(120)
+        _, failures = run_backtest(returns, equal_weights(3), RollingConfig(window=60),
+                                   [VolatilitySensitive(4, 2.0, 0.0)])
+        seen["near floor"] = [failures, scipy_loaded()]
+        print(json.dumps(seen))
+    """, tmp_path)
+    assert seen == {
+        "flat": [0, "warning: replication 0, method vs(4,2,0) skipped: asset 'STALE' has zero "
+                    "variance over the window\nwarning: replication 0, method eb skipped: prior "
+                    "scale matrix is not positive definite\n", False],
+        "near floor": [[], True],
+    }
