@@ -4,21 +4,25 @@ traffic-light classification.
 For every evaluation day the configured estimators are fit on the trailing
 window and priced for the next day; the realized return of a day is never
 visible to its own forecast. One driver serves ``rolling_forecasts``,
-``estimate_series`` and ``run_backtest``. It is batched: the moments of
-every trailing window are computed in one pass (:func:`rolling_moments`) and
-shared by all methods, and each estimator's ``batch_estimates`` maps them to
-all days' forecasts as one array program. (Days are taken in memory-bounded
-segments; at the README shape one segment holds them all.) The per-day
-scalar path, each estimator's ``day_estimates`` on one :class:`ReturnWindow`
-at a time, is the reference. It runs on exactly the days the batched path
-leaves NaN: the days where a batched check fails, and every day of an
+``estimate_series``, ``run_backtest`` and ``run_backtests``. It is batched
+and takes a stack of return histories (one for all but ``run_backtests``):
+their evaluation days, history after history, form one day axis, cut into
+memory-bounded segments that may span several histories. The moments of
+every trailing window of a segment are computed in one pass
+(:func:`stacked_moments`) and shared by all methods, and each estimator's
+``batch_estimates`` maps them to the segment's forecasts as one array
+program, once per segment. A day's forecast has the same bits however the
+histories are stacked and cut. The per-day scalar path, each estimator's
+``day_estimates`` on one :class:`ReturnWindow` at a time, is the
+reference. It runs, within each history, on exactly the days the batched
+path leaves NaN: the days where a batched check fails, and every day of an
 object that only defines ``day_estimates`` or of weights of the wrong
 length. Batched checks are stricter than the scalar ones, so the first of
 those days that raises is the method's first bad day, and the method fails
 with exactly the scalar error of it.
 
-The driver hands back, per method, either its forecasts or the day and
-error of its first failure (day -1 for a failed precondition).
+The driver hands back, per history and method, either its forecasts or the
+day and error of its first failure (day -1 for a failed precondition).
 ``run_backtest`` lists every failing method and scores the others;
 ``estimate_series`` raises the error with the earliest day, the earliest
 method on a tie, as a day-major scalar loop would; ``rolling_forecasts``
@@ -30,6 +34,7 @@ cumulative-probability thresholds.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from .conjugate import RiskEstimate, RiskMeasure
 from .errors import DimensionError, ParameterError, ValidationError
-from .returns import PortfolioWeights, ReturnWindow, rolling_moments
+from .returns import PortfolioWeights, ReturnWindow, stacked_moments
 
 __all__ = [
     "Zone",
@@ -52,14 +57,21 @@ __all__ = [
     "realized_portfolio_returns",
     "estimate_series",
     "run_backtest",
+    "run_backtests",
 ]
 
 GREEN_THRESHOLD = 0.95
 RED_THRESHOLD = 0.9999
-# Memory budget for one segment's (days, k, k) moment arrays. The README
-# shape (k = 5) fits all its days in one segment; at k = 50 a segment holds
-# 52 days, which keeps the batched engine's temporaries to a few megabytes.
+# Memory budget for one segment of days. A day's share (see _day_bytes) is
+# its (k, k) covariance, about ten (k,) vectors and thirty scalars across the
+# moments and the estimators' temporaries: at k = 5 a segment holds 1,248 days
+# (five of the README backtest's replications), at k = 50 it holds 43.
 _SEGMENT_BYTES = 1 << 20
+
+
+def _day_bytes(k: int) -> int:
+    return 8 * (k * k + 10 * k + 30)
+
 # Backtesting scores VaR forecasts; CVaR is only exported by estimate_series.
 _VAR = (RiskMeasure.VAR,)
 
@@ -150,37 +162,86 @@ def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, out, ass
     return out
 
 
-def _forecasts(returns, weights, cfg: RollingConfig, methods, measures, asset_ids) -> list:
-    """Each method's ``(days, levels, measures)`` forecasts, or the
-    ``(day, error)`` of its first failure: day -1 for a failed precondition.
+class _Replication:
+    """One history in the stack: per method a NaN ``(days, levels,
+    measures)`` array to fill, or the ``(-1, error)`` of a failed
+    precondition, and the methods whose days the batched engine fits."""
 
-    Days are taken in segments whose ``(days, k, k)`` moment arrays fit in
-    ``_SEGMENT_BYTES``; each segment's moments are computed once and shared
-    by every method with a ``batch_estimates``. The days it leaves NaN, and
-    all days of the other methods, then run day by day.
+    def __init__(self, returns, weights, cfg: RollingConfig, methods, measures):
+        self.returns = returns
+        self.values = []
+        for method in methods:
+            try:
+                _check_method(returns, cfg, method)
+                self.values.append(np.full((returns.shape[0] - cfg.window, len(cfg.levels),
+                                            len(measures)), np.nan))
+            except (ValidationError, ArithmeticError) as exc:
+                self.values.append((-1, exc))
+        self.batched = [j for j, m in enumerate(methods) if not isinstance(self.values[j], tuple)
+                        and hasattr(m, "batch_estimates") and weights.k == returns.shape[1]]
+        self.days = returns.shape[0] - cfg.window if self.batched else 0
+
+    def finish(self, weights, cfg: RollingConfig, methods, measures, asset_ids):
+        """``(returns, results)``, the days the batched engine left NaN and
+        all days of the other methods priced on the scalar path."""
+        return self.returns, [
+            values if isinstance(values, tuple)
+            else _day_by_day(self.returns, weights, cfg, method, measures, values, asset_ids)
+            for method, values in zip(methods, self.values)]
+
+
+def _fit_segment(pieces, weights, cfg: RollingConfig, methods, measures) -> None:
+    """Fit one segment: ``pieces`` are ``(replication, start, stop)`` day
+    ranges, whose moments are stacked so that each batched method runs once
+    on all of them."""
+    moments = stacked_moments([rep.returns[start:stop + cfg.window] for rep, start, stop in pieces],
+                              cfg.window)
+    for j in sorted({j for rep, _, _ in pieces for j in rep.batched}):
+        values = methods[j].batch_estimates(moments, weights, cfg.levels, measures)
+        offset = 0
+        for rep, start, stop in pieces:
+            if j in rep.batched:
+                rep.values[j][start:stop] = values[offset:offset + stop - start]
+            offset += stop - start
+
+
+def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_ids):
+    """Yield ``(returns, results)`` for each of ``histories`` in turn:
+    ``results`` holds each method's ``(days, levels, measures)`` forecasts
+    or the ``(day, error)`` of its first failure, day -1 for a failed
+    precondition.
+
+    The batched days of all histories, in order, form one day axis, cut
+    into segments of as many days as fit in ``_SEGMENT_BYTES``; a segment
+    may span several histories. Each segment's moments are computed once
+    and shared by every method with a ``batch_estimates``, which runs once
+    per segment. A history is handed back, with the days left NaN and all
+    days of the other methods priced day by day within it, as soon as its
+    last segment is fitted, so no more histories are held than the current
+    segment spans.
     """
-    t0, k = returns.shape
-    days = t0 - cfg.window
-    out = []
-    for method in methods:
-        try:
-            _check_method(returns, cfg, method)
-            out.append(np.full((days, len(cfg.levels), len(measures)), np.nan))
-        except (ValidationError, ArithmeticError) as exc:
-            out.append((-1, exc))
-    batched = [j for j, m in enumerate(methods)
-               if not isinstance(out[j], tuple) and hasattr(m, "batch_estimates") and weights.k == k]
-    step = max(1, _SEGMENT_BYTES // (8 * k * k))
-    for start in range(0, days, step):
-        if not batched:
-            break
-        moments = rolling_moments(returns[start:start + step + cfg.window], cfg.window)
-        for j in batched:
-            out[j][start:start + step] = methods[j].batch_estimates(moments, weights, cfg.levels,
-                                                                    measures)
-    return [values if isinstance(values, tuple)
-            else _day_by_day(returns, weights, cfg, method, measures, values, asset_ids)
-            for method, values in zip(methods, out)]
+    step = max(1, _SEGMENT_BYTES // _day_bytes(weights.k))
+    args = (weights, cfg, methods, measures)
+    pending, pieces, room = deque(), [], step
+    for returns in histories:
+        rep = _Replication(_as_matrix(returns), *args)
+        pending.append(rep)
+        day = 0
+        while day < rep.days:
+            take = min(room, rep.days - day)
+            pieces.append((rep, day, day + take))
+            day, room = day + take, room - take
+            if not room:
+                _fit_segment(pieces, *args)
+                pieces, room = [], step
+                while pending[0] is not rep:
+                    yield pending.popleft().finish(*args, asset_ids)
+        while pending and not (pieces and pieces[0][0] is pending[0]):
+            yield pending.popleft().finish(*args, asset_ids)
+    if pieces:
+        _fit_segment(pieces, *args)
+    while pending:
+        yield pending.popleft().finish(*args, asset_ids)
 
 
 def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, method,
@@ -192,7 +253,7 @@ def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, me
     emitted as ``(t, RiskEstimate)`` pairs, day-major in level order.
     ``asset_ids`` label the columns in error messages (default ``a1..ak``).
     """
-    [values] = _forecasts(_as_matrix(returns), weights, cfg, [method], _VAR, asset_ids)
+    [(_, [values])] = _forecasts([returns], weights, cfg, [method], _VAR, asset_ids)
     if isinstance(values, tuple):
         raise values[1]
     return [
@@ -289,9 +350,8 @@ def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, meth
     keyed by ``(method_label, alpha, measure)``. A failing day raises, as the
     day-major scalar loop would: the first bad day, first method on it.
     """
-    returns = _as_matrix(returns)
     measures = (RiskMeasure.VAR, RiskMeasure.CVAR)
-    values = _forecasts(returns, weights, cfg, methods, measures, asset_ids)
+    [(returns, values)] = _forecasts([returns], weights, cfg, methods, measures, asset_ids)
     errors = [v for v in values if isinstance(v, tuple)]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
@@ -314,15 +374,27 @@ def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods
     counts as a hit when its realized return falls strictly below the
     negated VaR forecast.
     """
-    returns = _as_matrix(returns)
-    realized = realized_portfolio_returns(returns, weights, cfg.window + 1)
-    reports: list[BacktestReport] = []
-    failures: list[tuple[str, Exception]] = []
-    for method, values in zip(methods, _forecasts(returns, weights, cfg, methods, _VAR, asset_ids)):
-        if isinstance(values, tuple):
-            failures.append((method.label, values[1]))
-            continue
-        exceedances = (realized[:, None] < -values[:, :, 0]).sum(axis=0)
-        for alpha, count in zip(cfg.levels, exceedances):
-            reports.append(traffic_light(int(count), len(realized), alpha, method=method.label))
-    return reports, failures
+    return next(run_backtests([returns], weights, cfg, methods, asset_ids))
+
+
+def run_backtests(histories, weights: PortfolioWeights, cfg: RollingConfig, methods,
+                  asset_ids=None):
+    """Yield :func:`run_backtest` of each of ``histories`` in turn, fitted
+    as one stack: each method's batched engine runs once per segment of
+    days, not once per history. ``histories`` may be a generator; a history
+    is drawn from it only when the current segment reaches it. Each
+    history's reports and failures have the bits of its own
+    :func:`run_backtest`.
+    """
+    for returns, results in _forecasts(histories, weights, cfg, methods, _VAR, asset_ids):
+        realized = realized_portfolio_returns(returns, weights, cfg.window + 1)
+        reports: list[BacktestReport] = []
+        failures: list[tuple[str, Exception]] = []
+        for method, values in zip(methods, results):
+            if isinstance(values, tuple):
+                failures.append((method.label, values[1]))
+                continue
+            exceedances = (realized[:, None] < -values[:, :, 0]).sum(axis=0)
+            for alpha, count in zip(cfg.levels, exceedances):
+                reports.append(traffic_light(int(count), len(realized), alpha, method=method.label))
+        yield reports, failures

@@ -243,28 +243,41 @@ def cmd_simulate(args) -> int:
 # backtest
 
 
-def _run_replication(shared, indexed_source):
-    """Backtest every method on one replication.
+def _run_chunk(shared, chunk):
+    """Backtest every method on a chunk of consecutive replications, fitted
+    together as one stack (see :func:`riskbench.backtest.run_backtests`).
 
     ``shared`` is ``(weights, rolling, methods, asset_ids, timing)``;
-    ``indexed_source`` is ``(replication, source)`` with ``source`` a return
-    matrix or a :class:`SimRequest` to simulate. Returns report rows in
-    ``REPORT_HEADER`` order and ``(replication, label, message)`` failures.
-    With ``timing``, each row's ``runtime_ms`` is the wall time of the
-    replication's whole backtest (all methods, which share one set of
-    rolling moments), excluding simulation.
+    ``chunk`` is a list of ``(replication, source)`` with ``source`` a return
+    matrix or a :class:`SimRequest`, simulated when the stack reaches it.
+    Returns report rows in ``REPORT_HEADER`` order and
+    ``(replication, label, message)`` failures. With ``timing``, each row's
+    ``runtime_ms`` is the chunk's fitting wall time (all methods and
+    replications, excluding simulation) divided by its replications.
     """
-    from .backtest import run_backtest
+    from .backtest import run_backtests
 
     weights, rolling, methods, asset_ids, timing = shared
-    rep, source = indexed_source
-    returns = simulate(source) if isinstance(source, SimRequest) else source
-    t_start = time.perf_counter()
-    reports, fails = run_backtest(returns, weights, rolling, methods, asset_ids)
-    elapsed_ms = int(round((time.perf_counter() - t_start) * 1000)) if timing else 0
-    rows = [(rep, 0, r.method, r.alpha, r.exceedances, r.cum_prob, r.zone.value, elapsed_ms)
-            for r in reports]
-    return rows, [(rep, label, str(exc)) for label, exc in fails]
+    simulating = 0.0
+
+    def histories():
+        nonlocal simulating
+        for _, source in chunk:
+            start = time.perf_counter()
+            returns = simulate(source) if isinstance(source, SimRequest) else source
+            simulating += time.perf_counter() - start
+            yield returns
+
+    start = time.perf_counter()
+    results = list(run_backtests(histories(), weights, rolling, methods, asset_ids))
+    fit_s = time.perf_counter() - start - simulating
+    runtime_ms = int(round(fit_s * 1000 / len(chunk))) if timing else 0
+    rows, fails = [], []
+    for (rep, _), (reports, failures) in zip(chunk, results):
+        rows += [(rep, 0, r.method, r.alpha, r.exceedances, r.cum_prob, r.zone.value, runtime_ms)
+                 for r in reports]
+        fails += [(rep, label, str(exc)) for label, exc in failures]
+    return rows, fails
 
 
 def _scenario_request(inputs, rep: int) -> SimRequest:
@@ -356,10 +369,12 @@ def cmd_backtest(args) -> int:
     out = _cfg_get(cfg, "backtest", "out", args.out, None)
     if out is None:
         raise ValidationError("backtest needs an output directory (--out)")
-    jobs = max(1, _cfg_get(cfg, "backtest", "jobs", args.jobs, 1, int))
+    jobs = _cfg_get(cfg, "backtest", "jobs", args.jobs, 1, int)
+    if jobs < 1:
+        raise ValidationError(f"backtest.jobs must be at least 1, got {jobs}")
     replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int)
     if replications < 1:
-        raise ValidationError(f"replications must be >= 1, got {replications}")
+        raise ValidationError(f"backtest.replications must be at least 1, got {replications}")
 
     if inputs["history"] is not None:
         if replications != 1:
@@ -367,17 +382,21 @@ def cmd_backtest(args) -> int:
         sources = [inputs["history"].data]
     else:
         sources = [_scenario_request(inputs, rep) for rep in range(replications)]
-    run = functools.partial(_run_replication, (inputs["weights"], inputs["rolling"],
-                                               inputs["methods"], inputs["asset_ids"],
-                                               bool(args.timing)))
-    if jobs > 1 and len(sources) > 1:
+    run = functools.partial(_run_chunk, (inputs["weights"], inputs["rolling"],
+                                         inputs["methods"], inputs["asset_ids"],
+                                         bool(args.timing)))
+    # One contiguous chunk of replications per worker, one chunk when serial.
+    count = min(jobs, len(sources))
+    indexed = list(enumerate(sources))
+    chunks = [indexed[i * len(sources) // count:(i + 1) * len(sources) // count]
+              for i in range(count)]
+    if count > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool starts all its workers on the first submit: no more than replications.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(sources))) as pool:
-            results = list(pool.map(run, enumerate(sources)))
+        with ProcessPoolExecutor(max_workers=count) as pool:
+            results = list(pool.map(run, chunks))
     else:
-        results = list(map(run, enumerate(sources)))
+        results = list(map(run, chunks))
 
     rows = sorted((row for reps_rows, _ in results for row in reps_rows), key=lambda r: r[:4])
     for _, reps_fails in results:
@@ -510,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_back.add_argument(
         "--timing",
         action="store_true",
-        help="record runtime_ms: wall time of each replication's backtest, all methods together",
+        help="record runtime_ms: fitting wall time of each worker's replications, all methods "
+             "together, divided by its replications",
     )
 
     p_est = sub.add_parser("estimate", help="export daily -VaR/-CVaR series")

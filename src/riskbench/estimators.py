@@ -41,11 +41,30 @@ _FLOOR_MARGIN = 2.0
 _PIVOT_RTOL = 1e-8
 
 
+# A day's numbers must not depend on where it falls in a stack of days, but
+# two of the engine's reductions round by position: einsum sums a lone
+# matrix in another order than a stack of them, and BLAS gemv takes rows four
+# at a time and rounds the last ``days % 4`` rows (a lone row goes through a
+# dot product) another way. Both get copies of their last row appended.
+def _padded(a: np.ndarray, rows: int) -> np.ndarray:
+    """``a`` with copies of its last row appended up to ``rows`` rows."""
+    return a if len(a) >= rows else np.concatenate([a, np.repeat(a[-1:], rows - len(a), axis=0)])
+
+
 def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``w' M w`` for each matrix of a ``(days, k, k)`` stack, with ``w`` one
     weight vector or one per day. One summation order for both, so equal
     weights give equal bits."""
-    return np.einsum("...i,...ij,...j->...", w, mats, w)
+    days = len(mats)
+    if w.ndim > 1:
+        w = _padded(w, 2)
+    return np.einsum("...i,...ij,...j->...", w, _padded(mats, 2), w)[:days]
+
+
+def _location(mean: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w' mean`` for each day of a ``(days, k)`` stack of means."""
+    days = len(mean)
+    return (_padded(mean, days + (-days) % 4) @ w)[:days]
 
 
 def _risk_values(location, scale, factors, ok) -> np.ndarray:
@@ -105,8 +124,8 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
         else:
             ok &= df > 1
             factors.append(_t_es_factor(df[:, None], alphas, q))
-    return _risk_values(moments.mean @ weights.w, np.sqrt(scale_sq), np.stack(factors, axis=-1),
-                        ok)
+    return _risk_values(_location(moments.mean, weights.w), np.sqrt(scale_sq),
+                        np.stack(factors, axis=-1), ok)
 
 
 def _fmt(x: float) -> str:
@@ -227,7 +246,8 @@ class SampleNormal:
              for m in measures]
             for a in alphas
         ])
-        return _risk_values(moments.mean @ weights.w, np.sqrt(variance), factors, variance > 0)
+        return _risk_values(_location(moments.mean, weights.w), np.sqrt(variance), factors,
+                            variance > 0)
 
 
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")

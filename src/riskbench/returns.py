@@ -4,12 +4,13 @@ A :class:`ReturnWindow` holds the most recent ``n`` daily simple returns of
 ``k`` assets. All values are immutable after construction, so windows and
 derived statistics are safe to share across threads and worker processes.
 :func:`rolling_moments` computes the same statistics for every trailing
-window of a return history at once, for the batched rolling engine.
+window of a return history at once, and :func:`stacked_moments` for several
+histories stacked along the day axis, for the batched rolling engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,6 +26,7 @@ __all__ = [
     "short_window_std",
     "RollingMoments",
     "rolling_moments",
+    "stacked_moments",
     "portfolio_return",
     "equal_weights",
 ]
@@ -183,39 +185,77 @@ def short_window_std(window: ReturnWindow, n_r: int, long_mean) -> np.ndarray:
     return np.sqrt((dev * dev).sum(axis=0) / (n_r - 1))
 
 
-def _window_blocks(columns: np.ndarray, window: int, rows: int):
+def _window_blocks(columns: np.ndarray, window: int, rows: int, offset: int = 0):
     """Yield ``(day_slice, block)`` over the evaluation days of a history
     held as ``columns`` (``k x T``, one contiguous row per asset), in blocks
     of ``_BLOCK_DAYS``. ``block[d]`` is ``(k, rows)``: the last ``rows`` rows
     of day d's trailing window, contiguous along the rows so reductions
-    over them vectorize."""
+    over them vectorize. The slices are shifted by ``offset`` days."""
     views = sliding_window_view(columns, window, axis=1)
     days = columns.shape[1] - window
     for start in range(0, days, _BLOCK_DAYS):
         stop = min(start + _BLOCK_DAYS, days)
-        yield slice(start, stop), views[:, start:stop, window - rows:].transpose(1, 0, 2)
+        yield (slice(offset + start, offset + stop),
+               views[:, start:stop, window - rows:].transpose(1, 0, 2))
+
+
+def _sliding_absmax(columns: np.ndarray, window: int) -> np.ndarray:
+    """``np.abs(columns[:, d:d + window]).max(axis=1)`` for every d, as
+    ``(k, T - window + 1)``.
+
+    Van Herk / Gil-Werman: cut the rows into blocks of ``window``; a window
+    spans the tail of one block and the head of the next, so its maximum is
+    that of a running maximum from the right in the first block and one
+    from the left in the second. A maximum rounds nothing, so this is
+    exactly the direct reduction, NaN included, at three passes per row
+    instead of ``window``.
+    """
+    k, t = columns.shape
+    blocks = np.zeros((k, -(-t // window), window))  # a zero pad is no larger than any |x|
+    np.abs(columns, out=blocks.reshape(k, -1)[:, :t])
+    head = np.maximum.accumulate(blocks, axis=2).reshape(k, -1)
+    tail = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(k, -1)
+    count = t - window + 1
+    return np.maximum(tail[:, :count], head[:, window - 1:window - 1 + count])
+
+
+def _short_stds(histories, window: int, mean: np.ndarray, n_r: int) -> np.ndarray:
+    """:func:`short_window_std` of every window of each of ``histories``
+    (each ``k x T``) in turn, about the window means ``mean``."""
+    out = np.empty_like(mean)
+    offset = 0
+    for columns in histories:
+        for days, block in _window_blocks(columns, window, n_r, offset):
+            dev = block - mean[days, :, None]
+            out[days] = np.sqrt((dev * dev).sum(axis=2) / (n_r - 1))
+        offset += columns.shape[1] - window
+    return out
 
 
 @dataclass(frozen=True)
 class RollingMoments:
-    """Moments of every trailing window of a return history.
+    """Moments of every trailing window of one or more return histories,
+    stacked along the day axis in the order of the histories.
 
-    Day d (0-based) is the window of rows ``[d, d + window)``, which forecasts
-    row ``d + window``. ``mean`` is ``(days, k)``, ``cov`` the unbiased
-    covariance ``(days, k, k)``, ``std`` the per-asset std about the window
-    mean (as :func:`short_window_std` with ``n_r = window``) and ``floor``
-    the degenerate-asset threshold on it. ``pivots`` is the diagonal of each
-    ``cov``'s Cholesky factor, NaN where ``cov`` is not positive definite.
-    ``columns`` is the history as ``k x T``.
+    Day d (0-based) of a history is the window of its rows
+    ``[d, d + window)``, which forecasts row ``d + window``. ``mean`` is
+    ``(days, k)``, ``cov`` the unbiased covariance ``(days, k, k)``, ``std``
+    the per-asset std about the window mean (as :func:`short_window_std`
+    with ``n_r = window``) and ``floor`` the degenerate-asset threshold on
+    it. ``pivots`` is the diagonal of each ``cov``'s Cholesky factor, NaN
+    where ``cov`` is not positive definite. ``histories`` holds each history
+    as ``k x T``. Every value of a day depends only on that day's window, so
+    a day has the same bits however the histories are cut and stacked.
     """
 
-    columns: np.ndarray
+    histories: tuple[np.ndarray, ...]
     window: int
     mean: np.ndarray
     cov: np.ndarray
     std: np.ndarray
     floor: np.ndarray
     pivots: np.ndarray
+    _short: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def days(self) -> int:
@@ -223,15 +263,14 @@ class RollingMoments:
 
     def short_std(self, n_r: int) -> np.ndarray:
         """:func:`short_window_std` of every window: the last ``n_r`` rows
-        about the whole window's mean. At ``n_r = window`` this is ``std``
-        itself, so a short window of full length matches it bit for bit."""
+        about the whole window's mean, computed once per ``n_r``. At
+        ``n_r = window`` this is ``std`` itself, so a short window of full
+        length matches it bit for bit."""
         if n_r == self.window:
             return self.std
-        out = np.empty_like(self.std)
-        for days, block in _window_blocks(self.columns, self.window, n_r):
-            dev = block - self.mean[days, :, None]
-            out[days] = np.sqrt((dev * dev).sum(axis=2) / (n_r - 1))
-        return out
+        if n_r not in self._short:
+            self._short[n_r] = _short_stds(self.histories, self.window, self.mean, n_r)
+        return self._short[n_r]
 
 
 def rolling_moments(returns, window: int) -> RollingMoments:
@@ -244,30 +283,50 @@ def rolling_moments(returns, window: int) -> RollingMoments:
     catastrophically: on a constant column they leave a std far above the
     degenerate floor, or negative variances.
     """
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim == 1:
-        returns = returns[:, None]
-    t0, k = returns.shape
+    return stacked_moments([returns], window)
+
+
+def stacked_moments(histories, window: int) -> RollingMoments:
+    """:func:`rolling_moments` of each of ``histories`` (each ``T x k``,
+    all with the same ``k``), stacked along the day axis."""
     window = int(window)
-    if not 2 <= window < t0:
-        raise ParameterError(f"window {window} outside [2, {t0 - 1}] for a history of {t0} rows")
-    columns = np.ascontiguousarray(returns.T)
-    days = t0 - window
+    columns = []
+    for returns in histories:
+        returns = np.asarray(returns, dtype=float)
+        if returns.ndim == 1:
+            returns = returns[:, None]
+        t0 = returns.shape[0]
+        if not 2 <= window < t0:
+            raise ParameterError(
+                f"window {window} outside [2, {t0 - 1}] for a history of {t0} rows")
+        columns.append(np.ascontiguousarray(returns.T))
+    k = columns[0].shape[0]
+    if any(c.shape[0] != k for c in columns):
+        raise DimensionError("stacked histories must have the same number of assets")
+    days = sum(c.shape[1] for c in columns) - window * len(columns)
     mean = np.empty((days, k))
     cov = np.empty((days, k, k))
     std = np.empty((days, k))
     floor = np.empty((days, k))
-    for block_days, block in _window_blocks(columns, window, window):
-        m = block.mean(axis=2)
-        dev = block - m[:, :, None]
-        c = dev @ dev.transpose(0, 2, 1) / (window - 1)
-        mean[block_days] = m
-        cov[block_days] = (c + c.transpose(0, 2, 1)) / 2.0
-        std[block_days] = np.sqrt((dev * dev).sum(axis=2) / (window - 1))
-        floor[block_days] = _degenerate_floor(np.abs(block).max(axis=2), window)
-    with np.errstate(invalid="ignore"):  # cholesky_lo fills a failed factor with NaN
-        pivots = np.diagonal(cholesky_lo(cov, signature="d->d"), axis1=1, axis2=2)
-    return RollingMoments(columns=columns, window=window, mean=mean, cov=cov, std=std,
+    pivots = np.empty((days, k))
+    offset = 0
+    for c in columns:
+        for block_days, block in _window_blocks(c, window, window, offset):
+            m = block.mean(axis=2)
+            dev = block - m[:, :, None]
+            cc = dev @ dev.transpose(0, 2, 1) / (window - 1)
+            cc = (cc + cc.transpose(0, 2, 1)) / 2.0
+            mean[block_days] = m
+            cov[block_days] = cc
+            std[block_days] = np.sqrt((dev * dev).sum(axis=2) / (window - 1))
+            with np.errstate(invalid="ignore"):  # cholesky_lo fills a failed factor with NaN
+                factor = cholesky_lo(cc, signature="d->d")
+            pivots[block_days] = np.diagonal(factor, axis1=1, axis2=2)
+        count = c.shape[1] - window
+        floor[offset:offset + count] = _degenerate_floor(_sliding_absmax(c[:, :-1], window).T,
+                                                         window)
+        offset += count
+    return RollingMoments(histories=tuple(columns), window=window, mean=mean, cov=cov, std=std,
                           floor=floor, pivots=pivots)
 
 

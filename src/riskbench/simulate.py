@@ -250,34 +250,43 @@ def simulate_pmvn_detail(req: SimRequest) -> tuple[np.ndarray, list[PmvnPeriod]]
     independent per asset per period, and rescaling the standard deviations
     leaves the correlation matrix untouched (the Cholesky factor is scaled
     row-wise).
+
+    Each period's normals are multiplied by the factor inside the loop,
+    straight into the path; the scales (one for every asset of a normal
+    period) and the mean are applied to the whole path after it. Each entry
+    is still ``(z L') * s + mu`` in that order, so the path is bit-identical
+    to one that computes each period's rows in the loop. One product over
+    all periods' normals would not be: it changes the last bit of some
+    entries.
     """
     params: PmvnParams = req.params
     if not isinstance(params, PmvnParams):
         raise ParameterError("pmvn scenario requires PmvnParams")
     rng = _request_rng(req)
     k, t0 = params.k, req.t0
-    chol = np.linalg.cholesky(params.base.sigma)
+    chol_t = np.linalg.cholesky(params.base.sigma).T
     p_low, p_normal, _ = params.regime_probs
     out = np.empty((t0, k))
+    scales = np.ones((t0, k))
+    ones = (1.0,) * k
     periods: list[PmvnPeriod] = []
     day = 0
     while day < t0:
         length = params.period_lengths[rng.integers(len(params.period_lengths))]
         u = rng.random()
-        if u < p_low:
-            regime = "low"
-            scales = rng.uniform(*params.low_scale_range, size=k)
-        elif u < p_low + p_normal:
-            regime = "normal"
-            scales = np.ones(k)
-        else:
-            regime = "high"
-            scales = rng.uniform(*params.high_scale_range, size=k)
         m = min(length, t0 - day)
-        z = rng.standard_normal((m, k))
-        out[day:day + m] = params.base.mu + (z @ chol.T) * scales
-        periods.append(PmvnPeriod(start=day, length=m, regime=regime, scales=tuple(scales)))
+        if p_low <= u < p_low + p_normal:
+            regime, scale = "normal", ones
+        else:
+            regime, bounds = (("low", params.low_scale_range) if u < p_low
+                              else ("high", params.high_scale_range))
+            scale = rng.uniform(*bounds, size=k)
+            scales[day:day + m] = scale
+        np.matmul(rng.standard_normal((m, k)), chol_t, out=out[day:day + m])
+        periods.append(PmvnPeriod(start=day, length=m, regime=regime, scales=tuple(scale)))
         day += m
+    out *= scales
+    out += params.base.mu
     return out, periods
 
 

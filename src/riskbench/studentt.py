@@ -118,6 +118,9 @@ def t_quantile(df: float, p: float) -> float:
 # the order of the step squared.
 _SERIES_RTOL = 2.0 ** -56
 _SERIES_TERMS = (32, 48, 128)
+# Elements per group of the t_quantiles solve: its series temporaries are
+# (terms, elements) arrays.
+_SOLVE_ELEMENTS = 512
 _NEWTON_STEPS = 8
 _STEP_RTOL = 1e-9
 # Upper-tail series below this x = df/(df+t^2); the central one above it.
@@ -193,11 +196,20 @@ def t_quantiles(df, alphas) -> np.ndarray:
     finite, alpha is not in (0.5, 1), or a series or the Newton loop does
     not stop within its budget; the engine then prices that day with the
     scalar reference. Each distinct df is solved once, and an element's bits
-    depend only on its own df and alpha.
+    depend only on its own df and alpha, so the distinct df are solved in
+    groups of ``_SOLVE_ELEMENTS`` elements, which bounds the temporaries.
     """
     df = np.asarray(df, dtype=float)
     levels = np.asarray(alphas, dtype=float)
     unique, inverse = np.unique(df, return_inverse=True)
+    step = max(1, _SOLVE_ELEMENTS // max(1, levels.size))
+    out = np.concatenate([_solve_quantiles(unique[i:i + step], levels)
+                          for i in range(0, max(1, unique.size), step)])
+    return out[inverse]
+
+
+def _solve_quantiles(unique, levels) -> np.ndarray:
+    """:func:`t_quantiles` of distinct ``unique`` df, as ``(len(unique), len(levels))``."""
     valid = np.repeat((unique > 0) & np.isfinite(unique), levels.size)
     nu = np.where(valid, np.repeat(unique, levels.size), 1.0)
     alpha = np.tile(levels, unique.size)
@@ -230,7 +242,7 @@ def t_quantiles(df, alphas) -> np.ndarray:
     if idx.size:
         wide = [a[idx].astype(np.longdouble) for a in (out, nu, scale, p, q)]
         out[idx] = wide[0] + _newton_step(*wide)[0]
-    return out.reshape(unique.size, levels.size)[inverse]
+    return out.reshape(unique.size, levels.size)
 
 
 def normal_quantile(p: float) -> float:

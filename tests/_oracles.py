@@ -169,3 +169,30 @@ def dcc_path_per_step(params, rng: np.random.Generator, t0: int, burn_in: int) -
         if not static_corr:
             q = qbar_weighted + theta1 * np.outer(z, z) + theta2 * q
     return out[burn_in:]
+
+
+def pmvn_path_per_period(params, rng: np.random.Generator, t0: int):
+    """Perturbed-normal path and period records computed one period at a
+    time: each period's rows are ``mu + (z @ chol.T) * scales`` with a fresh
+    ``np.ones(k)`` for a normal period."""
+    k = params.k
+    chol = np.linalg.cholesky(params.base.sigma)
+    p_low, p_normal, _ = params.regime_probs
+    out = np.empty((t0, k))
+    periods = []
+    day = 0
+    while day < t0:
+        length = params.period_lengths[rng.integers(len(params.period_lengths))]
+        u = rng.random()
+        if u < p_low:
+            regime, scales = "low", rng.uniform(*params.low_scale_range, size=k)
+        elif u < p_low + p_normal:
+            regime, scales = "normal", np.ones(k)
+        else:
+            regime, scales = "high", rng.uniform(*params.high_scale_range, size=k)
+        m = min(length, t0 - day)
+        z = rng.standard_normal((m, k))
+        out[day:day + m] = params.base.mu + (z @ chol.T) * scales
+        periods.append((day, m, regime, tuple(scales)))
+        day += m
+    return out, periods

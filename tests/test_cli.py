@@ -260,6 +260,49 @@ def test_worker_pool_capped_at_replications(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path / "o" / "report.csv")) == 1 + 2 * 2
 
 
+def test_jobs_map_one_contiguous_chunk_per_worker(tmp_path, monkeypatch):
+    tasks = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            chunks = list(iterable)
+            tasks.append([[rep for rep, _ in chunk] for chunk in chunks])
+            return map(fn, chunks)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
+            "--replications", "5"]
+    assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "two")) == 0
+    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
+    assert tasks == [[[0, 1], [2, 3, 4]]]
+    assert (tmp_path / "two" / "report.csv").read_bytes() == \
+        (tmp_path / "one" / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--replications", "0", "backtest.replications"),
+    ("--replications", "-3", "backtest.replications"),
+    ("--jobs", "0", "backtest.jobs"),
+    ("--jobs", "-1", "backtest.jobs"),
+])
+def test_replications_and_jobs_below_one_exit_2(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
+                   flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert key in err and f"got {value}" in err
+    assert not out.exists()
+
+
 def test_flat_input_column_is_named_by_its_header(tmp_path, capsys):
     rng = np.random.default_rng(8)
     import datetime as dt
@@ -290,12 +333,12 @@ def test_backtest_runtime_ms_per_replication(tmp_path, timing):
     for row in read_csv(out / "report.csv")[1:]:
         runtimes.setdefault(row[0], set()).add(row[7])
     assert sorted(runtimes) == ["0", "1", "2"]
-    for values in runtimes.values():
-        assert len(values) == 1  # one wall time for the whole replication
-        [value] = values
-        assert value.isdigit()
-        if not timing:
-            assert value == "0"
+    # one chunk: its fitting time divided by its replications, on every row
+    assert len(set.union(*runtimes.values())) == 1
+    [value] = runtimes["0"]
+    assert value.isdigit()
+    if not timing:
+        assert value == "0"
 
 
 @pytest.mark.parametrize("scenario, keys", [

@@ -2,6 +2,7 @@
 
 import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def _late_flat_column(returns, window):
 
 
 def _segment_days(monkeypatch, days, k):
-    monkeypatch.setattr(backtest, "_SEGMENT_BYTES", days * 8 * k * k)
+    monkeypatch.setattr(backtest, "_SEGMENT_BYTES", days * backtest._day_bytes(k))
 
 
 @pytest.mark.parametrize("make", [_flat_column, _vanishing_recent_column, _late_flat_column])
@@ -459,6 +460,34 @@ PINNED_EXCEEDANCES = {
 }
 
 
+def test_readme_backtest_fits_once_per_segment(tmp_path):
+    # 20 replications of 250 days are 5,000 days: four segments of 1,248 days
+    # and one of 8 at k = 5. Each conjugate method solves its t quantiles
+    # once per segment (60 calls when each replication was fitted alone),
+    # and the two vs(4, ...) methods share one short-window std per segment
+    # (40 before).
+    import riskbench.estimators
+    import riskbench.returns
+
+    counts = {"t_quantiles": 0, "short_std": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    with mock.patch.object(riskbench.estimators, "t_quantiles",
+                           counting("t_quantiles", riskbench.estimators.t_quantiles)), \
+            mock.patch.object(riskbench.returns, "_short_stds",
+                              counting("short_std", riskbench.returns._short_stds)):
+        assert cli_main(["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500",
+                         "--window", "250", "--alpha", "0.975,0.99", "--replications", "20",
+                         *(f"--method={m}" for m in DEFAULT_METHODS), "--seed", "0",
+                         "--out", str(tmp_path)]) == 0
+    assert counts == {"t_quantiles": 15, "short_std": 5}
+
+
 def test_pinned_exceedance_counts(tmp_path):
     assert cli_main(["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500",
                      "--replications", "3", "--seed", "0", "--out", str(tmp_path)]) == 0
@@ -466,3 +495,82 @@ def test_pinned_exceedance_counts(tmp_path):
         rows = list(csv.DictReader(fh))
     got = {(int(r["replication"]), r["method"], r["alpha"]): int(r["exceedances"]) for r in rows}
     assert got == PINNED_EXCEEDANCES
+
+
+def _near_floor_last_column(returns, window, seed):
+    """The last column as 0.01 plus noise whose std falls from 3 to 1.5 times
+    the degenerate floor after the first window: the batched checks leave
+    those later days to the scalar path, which prices them."""
+    returns = returns.copy()
+    floor = window * np.finfo(float).eps * 0.01
+    scale = np.where(np.arange(len(returns)) < window, 3.0, 1.5) * floor
+    returns[:, -1] = 0.01 + scale * np.random.default_rng(seed).standard_normal(len(returns))
+    return returns
+
+
+@st.composite
+def stacking_cases(draw):
+    """Replications of one shape, some with a column near the degenerate
+    floor (days the batched checks leave to the scalar path) or flat over a
+    whole window (vs and eb fail outright), and a segment length."""
+    k = draw(st.integers(1, 9))  # from k = 8 on, BLAS gemv rounds a row by its position
+    window = draw(st.integers(k + 4, 30))
+    histories = []
+    for _ in range(draw(st.integers(1, 5))):
+        days = draw(st.integers(1, 12))
+        returns = correlated_returns(draw(st.integers(0, 2**32 - 1)), window + days, k,
+                                     shock_rows=draw(st.integers(0, 10)),
+                                     shock=draw(st.floats(0.2, 5.0)))
+        kind = draw(st.sampled_from(["plain", "plain", "near-floor", "flat"]))
+        if kind == "near-floor":
+            returns = _near_floor_last_column(returns, window, days)
+        elif kind == "flat":
+            returns[draw(st.integers(0, days - 1)):, -1] = draw(st.sampled_from([0.0, 0.0123]))
+        histories.append(returns)
+    raw_w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    return (histories, PortfolioWeights(raw_w / raw_w.sum()),
+            RollingConfig(window=window, levels=(0.975, 0.99)), draw(st.integers(1, 40)))
+
+
+def forecast_bits(results):
+    """Forecast bytes, or the day, type and message of the failure, per method."""
+    return [(values[0], type(values[1]), str(values[1])) if isinstance(values, tuple)
+            else values.tobytes() for values in results]
+
+
+def report_bits(reports, failures):
+    return reports, [(label, type(exc), str(exc)) for label, exc in failures]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacking_cases())
+def test_stacked_replications_match_each_fitted_alone(case):
+    histories, weights, cfg, segment_days = case
+    k = weights.k
+    methods = parse_methods(DEFAULT_METHODS) + [VolatilitySensitive(3, 1.5, 1.0)]
+    alone = [forecast_bits(results)
+             for h in histories
+             for _, results in backtest._forecasts([h], weights, cfg, methods, (VAR, CVAR), None)]
+    reports = [report_bits(*run_backtest(h, weights, cfg, methods)) for h in histories]
+    with mock.patch.object(backtest, "_SEGMENT_BYTES", segment_days * backtest._day_bytes(k)):
+        stacked = [forecast_bits(results) for _, results in backtest._forecasts(
+            iter(histories), weights, cfg, methods, (VAR, CVAR), None)]
+        stacked_reports = [report_bits(*r) for r in backtest.run_backtests(
+            iter(histories), weights, cfg, methods)]
+    assert stacked == alone
+    assert stacked_reports == reports
+
+
+def test_stacking_cases_reach_the_scalar_path_and_outright_failures():
+    # The two special kinds of replication that stacking_cases draws.
+    window, k = 20, 3
+    near_floor = _near_floor_last_column(correlated_returns(1, window + 8, k), window, 1)
+    flat = correlated_returns(2, window + 8, k)
+    flat[3:, -1] = 0.0
+    cfg = RollingConfig(window=window)
+    counting = [CountingScalarCalls(m) for m in parse_methods(DEFAULT_METHODS)]
+    [(_, failures)] = backtest.run_backtests([near_floor], equal_weights(k), cfg, counting)
+    assert failures == []
+    assert [m.calls > 0 for m in counting] == [True, True, False, False]
+    [(_, failures)] = backtest.run_backtests([flat], equal_weights(k), cfg, counting)
+    assert [label for label, _ in failures] == ["vs(4,2,0)", "vs(4,0,0)", "eb"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbench import (
     DimensionError,
@@ -12,6 +14,8 @@ from riskbench import (
     sample_stats,
     short_window_std,
 )
+
+from riskbench.returns import _sliding_absmax
 
 from _oracles import brute_force_cov
 
@@ -142,3 +146,29 @@ def test_weights_validation():
         PortfolioWeights(np.array([0.5, 0.6]))
     PortfolioWeights(np.array([0.5, 0.5]))
     PortfolioWeights(np.array([1.5, -0.5]))  # shorting allowed, sum still 1
+
+
+@st.composite
+def sliding_max_cases(draw):
+    """Columns with flat stretches, repeated values and signed zeros, and a
+    window that need not divide the history length."""
+    k = draw(st.integers(1, 3))
+    t = draw(st.integers(2, 60))
+    window = draw(st.integers(1, t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = np.array([0.0, -0.0, 0.5, -0.5, 1e-300, -2.0, 3.0])
+    data = np.where(rng.random((k, t)) < 0.5, rng.choice(special, (k, t)),
+                    rng.normal(0, 5, (k, t)))
+    for _ in range(draw(st.integers(0, 3))):  # flat stretches
+        row, start = draw(st.integers(0, k - 1)), draw(st.integers(0, t - 1))
+        data[row, start:start + draw(st.integers(1, t))] = draw(st.sampled_from(list(special)))
+    return data, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(sliding_max_cases())
+def test_sliding_absmax_equals_the_window_maximum(case):
+    columns, window = case
+    expected = np.array([np.abs(columns[:, d:d + window]).max(axis=1)
+                         for d in range(columns.shape[1] - window + 1)]).T
+    np.testing.assert_array_equal(_sliding_absmax(columns, window), expected)

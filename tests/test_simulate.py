@@ -18,7 +18,7 @@ from riskbench import (
 
 from riskbench.simulate import DCC_BURN_IN, _request_rng
 
-from _oracles import dcc_path_per_step, ks_two_sample
+from _oracles import dcc_path_per_step, ks_two_sample, pmvn_path_per_period
 
 
 def corr_matrix(k, rho):
@@ -254,6 +254,26 @@ def test_dcc_matches_per_step_oracle(k, thetas, seed):
     req = SimRequest(scenario="dcc", t0=400, k=k, seed=seed, params=params)
     expected = dcc_path_per_step(params, _request_rng(req), req.t0, DCC_BURN_IN)
     np.testing.assert_array_equal(simulate_dcc(req), expected)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 20, 50])
+@pytest.mark.parametrize("seed", range(6))
+def test_pmvn_matches_per_period_oracle(k, seed):
+    rng = np.random.default_rng(100 + k)
+    vol = rng.uniform(0.005, 0.02, k)
+    params = PmvnParams(
+        base=MvnParams(mu=rng.normal(5e-4, 2e-4, k),
+                       sigma=random_correlation(k, seed) * np.outer(vol, vol)),
+        # frequent low and high periods, and lengths that do not divide T
+        regime_probs=(0.2, 0.5, 0.3),
+        period_lengths=(1, 3, 4, 7),
+    )
+    req = SimRequest(scenario="pmvn", t0=301, k=k, seed=seed, params=params)
+    expected, expected_periods = pmvn_path_per_period(params, _request_rng(req), req.t0)
+    path, periods = simulate_pmvn_detail(req)
+    np.testing.assert_array_equal(path, expected)
+    assert [(p.start, p.length, p.regime, p.scales) for p in periods] == expected_periods
+    assert {p.regime for p in periods} == {"low", "normal", "high"}
 
 
 NEAR_SINGULAR_RHO = 0.9999999999999998  # passes DccParams validation
