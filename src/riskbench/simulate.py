@@ -308,8 +308,10 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     sequential, with one Cholesky factorization of the correlation per step.
 
     A step allocates no array: every buffer is made once before the loop,
-    ``h`` and ``q`` are updated in place and every ufunc writes through
-    ``out=``. The correlation is factored by ``cholesky_lo``, the gufunc that
+    ``h`` and ``q`` are updated in place and every ufunc writes to an output
+    array passed positionally, the cheapest form of the call. ``chol @ e`` is
+    ``chol.dot(e, tmp)``, the same BLAS ``gemv`` as ``np.matmul`` with less
+    wrapper cost. The correlation is factored by ``cholesky_lo``, the gufunc that
     ``np.linalg.cholesky`` itself calls, without the wrapper's checks and
     copies; on a matrix that is not positive definite it fills its output
     with NaN instead of raising. Each expression keeps the operation order of
@@ -337,32 +339,33 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     corr, zz = np.empty((k, k)), np.empty((k, k))
     corr_diag = corr.reshape(-1)[::k + 1]
     d_col, z_col = d[:, None], z[:, None]
-    multiply, divide, add, sqrt, matmul = np.multiply, np.divide, np.add, np.sqrt, np.matmul
+    multiply, divide, add, sqrt = np.multiply, np.divide, np.add, np.sqrt
+    chol_dot, fill_diag, isnan = chol.dot, corr_diag.fill, math.isnan
 
     eps = rng.standard_normal((total, k))  # overwritten row by row with the shocks
     with np.errstate(invalid="ignore"):  # cholesky_lo signals failure as NaN
         for e in eps:
             if not static_corr:
-                sqrt(q_diag, out=d)
-                multiply(d_col, d, out=corr)
-                divide(q, corr, out=corr)
-                corr_diag.fill(1.0)
-                cholesky_lo(corr, out=chol, signature="d->d")
-                if math.isnan(chol[0, 0]):
+                sqrt(q_diag, d)
+                multiply(d_col, d, corr)
+                divide(q, corr, corr)
+                fill_diag(1.0)
+                cholesky_lo(corr, chol)
+                if isnan(chol[0, 0]):
                     raise NumericalError("correlation recursion lost positive definiteness")
-            sqrt(h, out=vol)
-            matmul(chol, e, out=tmp)
-            multiply(vol, tmp, out=e)
-            multiply(a, e, out=tmp)
-            multiply(tmp, e, out=tmp)
-            add(omega, tmp, out=tmp)
-            multiply(b, h, out=h)
-            add(tmp, h, out=h)
+            sqrt(h, vol)
+            chol_dot(e, tmp)
+            multiply(vol, tmp, e)
+            multiply(a, e, tmp)
+            multiply(tmp, e, tmp)
+            add(omega, tmp, tmp)
+            multiply(b, h, h)
+            add(tmp, h, h)
             if not static_corr:
-                divide(e, vol, out=z)
-                multiply(z_col, z, out=zz)
-                multiply(theta1, zz, out=zz)
-                add(qbar_weighted, zz, out=zz)
-                multiply(theta2, q, out=q)
-                add(zz, q, out=q)
+                divide(e, vol, z)
+                multiply(z_col, z, zz)
+                multiply(theta1, zz, zz)
+                add(qbar_weighted, zz, zz)
+                multiply(theta2, q, q)
+                add(zz, q, q)
     return eps[DCC_BURN_IN:] + params.mu

@@ -1,4 +1,5 @@
 import datetime as dt
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from riskbench import DataError, NumericalError, ParameterError
+from riskbench import DataError, NumericalError, ParameterError, dataio
 from riskbench.dataio import (
     fmt_number,
     ingest_returns,
@@ -137,6 +138,95 @@ def test_written_rows_match_fmt_number_and_read_back(tmp_path_factory, data):
     for line, date, row in zip(lines[1:-1], dates, data):
         assert line == date.isoformat() + "," + ",".join(fmt_number(v) for v in row)
     np.testing.assert_allclose(ingest_returns(path).data, data, rtol=5e-12, atol=0)
+
+
+def expected_csv(data, ids, dates):
+    """The writer's bytes, one ``%.12g`` per cell."""
+    rows = ("".join([d.isoformat(), *(",%.12g" % v for v in row), "\n"])
+            for d, row in zip(dates, data.tolist()))
+    return "".join(["date", *("," + i for i in ids), "\n", *rows]).encode("utf-8")
+
+
+def written(tmp_path, data):
+    """The bytes the writer wrote, with warnings as errors, and the expected bytes."""
+    path = tmp_path / "out.csv"
+    ids = tuple(f"A{i}" for i in range(data.shape[1]))
+    dates = weekday_dates(dt.date(2022, 1, 3), data.shape[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_returns_csv(path, data, ids, dates)
+    return path.read_bytes(), expected_csv(data, ids, dates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=finite_cells),
+       st.sampled_from([1, 3]))
+def test_rows_match_fmt_number_across_small_blocks(tmp_path_factory, data, block_rows):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_BLOCK_ROWS", block_rows)
+        got, want = written(tmp_path_factory.mktemp("w"), data)
+    assert got == want
+
+
+def mixed_cells(rng, shape):
+    """Returns in and around the fixed-notation band, plus zeros, ties and large values."""
+    x = rng.standard_t(4, shape) * 10.0 ** rng.uniform(-6, 0.5, shape)
+    pick = rng.random(shape)
+    x[pick < 0.02] = 0.0
+    near_tie = (rng.integers(10**11, 10**12, shape) + 0.5) * 10.0 ** rng.integers(-15, -11, shape)
+    x[(pick >= 0.02) & (pick < 0.05)] = near_tie[(pick >= 0.02) & (pick < 0.05)]
+    x[(pick >= 0.05) & (pick < 0.07)] *= 1e6
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 20])
+@pytest.mark.parametrize("extra", [-1, 0, 1, None])
+def test_rows_match_fmt_number_at_block_boundaries(tmp_path, k, extra):
+    block = dataio._BLOCK_ROWS
+    t = 2 * block + 3 if extra is None else block + extra
+    got, want = written(tmp_path, mixed_cells(np.random.default_rng(k * 10 + t), (t, k)))
+    assert got == want
+
+
+def band_edges():
+    """Cells at the edges of the fast band and within one ulp of its rounding ties."""
+    edges = [1e-4, -1e-4, np.nextafter(1e-4, 0), -np.nextafter(1e-4, 0), 0.99999999999995,
+             -0.99999999999995, 0.0999999999999996, np.nextafter(1.0, 0), 0.1, 0.01, 1e-3,
+             -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]
+    rng = np.random.default_rng(11)
+    for e in range(-4, 0):
+        for m in [10**11, 10**12 - 1, *rng.integers(10**11, 10**12, 8).tolist()]:
+            tie = (m + 0.5) * 10.0 ** (e - 11)
+            for x in (np.nextafter(tie, 0), tie, np.nextafter(tie, 1)):
+                edges += [x, -x]
+    return np.array(edges)
+
+
+def test_band_edges_match_percent_g(tmp_path):
+    edges = band_edges()
+    assert "%.12g" % 0.99999999999995 == "1" and "%.12g" % np.nextafter(1e-4, 0) == "0.0001"
+    got, want = written(tmp_path, edges.reshape(-1, 2))
+    assert got == want
+    got, want = written(tmp_path, edges.reshape(1, -1))
+    assert got == want
+
+
+def test_dates_match_isoformat_from_year_1_to_9999(tmp_path):
+    rng = np.random.default_rng(3)
+    ordinals = rng.integers(1, dt.date.max.toordinal() + 1, 3000)
+    dates = [dt.date.fromordinal(int(o)) for o in [1, dt.date.max.toordinal(), *ordinals]]
+    data = np.full((len(dates), 1), 0.5)
+    path = tmp_path / "out.csv"
+    write_returns_csv(path, data, ("A",), dates)
+    assert path.read_bytes() == expected_csv(data, ("A",), dates)
+
+
+def test_empty_matrices_write_the_header_and_dates(tmp_path):
+    dates = weekday_dates(dt.date(2022, 1, 3), 2)
+    for data, ids, days in ((np.zeros((0, 2)), ("A", "B"), ()), (np.zeros((2, 0)), (), dates)):
+        path = tmp_path / "out.csv"
+        write_returns_csv(path, data, ids, days)
+        assert path.read_bytes() == expected_csv(data, ids, days)
 
 
 def test_weekday_dates_skip_weekends():
