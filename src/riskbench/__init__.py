@@ -5,11 +5,8 @@ traffic-light backtesting.
 The fitting modules (``backtest``, ``conjugate``, ``estimators``, ``priors``,
 ``studentt``) are loaded on first access to one of their names;
 ``simulate``, ``returns`` and ``errors`` are loaded eagerly, so
-``riskbench simulate`` and ``--version`` load no fitting code. No module
-imports scipy, the slowest import of the package, at load time: only the
-scalar references ``studentt.t_quantile`` and ``studentt.t_cdf`` import it,
-when first called, so a backtest whose days the batched engine prices never
-loads it.
+``riskbench simulate`` and ``--version`` load no fitting code. The package
+needs numpy and the standard library only.
 """
 
 import importlib
@@ -80,7 +77,7 @@ _LAZY_MODULES = {
                    "parse_methods"),
     "priors": ("VolatilityDiagnostics", "VsConfig", "eb_hyperparams", "sample_method_estimate",
                "vs_hyperparams"),
-    "studentt": ("normal_es_factor", "normal_quantile", "t_cdf", "t_pdf", "t_quantile"),
+    "studentt": ("normal_es_factor", "normal_quantile", "t_pdf", "t_quantile"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 

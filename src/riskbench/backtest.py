@@ -62,6 +62,9 @@ __all__ = [
 
 GREEN_THRESHOLD = 0.95
 RED_THRESHOLD = 0.9999
+# The highest VaR level a rolling run accepts: up to it the t quantile is
+# tested against an independent reference within 1e-12 relative.
+MAX_LEVEL = 0.9999
 # Memory budget for one segment of days. A day's share (see _day_bytes) is
 # its (k, k) covariance, about ten (k,) vectors and thirty scalars across the
 # moments and the estimators' temporaries: at k = 5 a segment holds 1,248 days
@@ -116,7 +119,8 @@ class BacktestReport:
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Rolling evaluation settings: window length and VaR levels."""
+    """Rolling evaluation settings: window length and VaR levels, each in
+    (0.5, ``MAX_LEVEL``]."""
 
     window: int = 250
     levels: tuple[float, ...] = (0.975, 0.99)
@@ -128,8 +132,8 @@ class RollingConfig:
         if not levels:
             raise ParameterError("at least one VaR level is required")
         for a in levels:
-            if not 0.5 < a < 1.0:
-                raise ParameterError(f"VaR level {a!r} outside (0.5, 1)")
+            if not 0.5 < a <= MAX_LEVEL:
+                raise ParameterError(f"VaR level {a!r} outside (0.5, {MAX_LEVEL}]")
         object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "levels", levels)
 

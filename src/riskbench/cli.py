@@ -290,10 +290,9 @@ def _resolve_backtest_inputs(cfg, args, command: str):
     """Shared backtest/estimate input resolution; validates before computing.
 
     The fitting modules are imported here and not at module level, so
-    ``simulate`` and ``--version`` never load them. They load no scipy: the
-    scalar reference imports it on the first day that the batched engine
-    cannot price, in whichever process that day is fitted, so a ``--jobs``
-    worker imports it only if one of its replications needs it.
+    ``simulate`` and ``--version`` never load them. Levels are printed with
+    :func:`fmt_number` in every output, so two levels that print alike are
+    refused.
     """
     from .backtest import RollingConfig
     from .estimators import parse_methods
@@ -309,6 +308,11 @@ def _resolve_backtest_inputs(cfg, args, command: str):
     window = _cfg_get(cfg, section, "window", args.window, DEFAULT_WINDOW, int)
     levels = _cfg_get(cfg, section, "levels", args.alpha, DEFAULT_LEVELS, _floats)
     rolling = RollingConfig(window=window, levels=levels)
+    labels = [fmt_number(alpha) for alpha in rolling.levels]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValidationError(f"{section}.levels repeat {', '.join(repeated)} "
+                              "(levels are printed with 12 significant digits)")
 
     method_specs = args.method or None
     if method_specs is None and cfg.has_option(section, "methods"):
@@ -409,14 +413,14 @@ def cmd_backtest(args) -> int:
     with open(report_path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(REPORT_HEADER + "\n")
         csv.writer(fh, lineterminator="\n").writerows(
-            (*row[:3], f"{row[3]:g}", row[4], fmt_number(row[5]), *row[6:]) for row in rows
+            (*row[:3], fmt_number(row[3]), row[4], fmt_number(row[5]), *row[6:]) for row in rows
         )
 
     zones = Counter((row[2], row[3], row[6]) for row in rows)
     totals = Counter(row[2:4] for row in rows)
     aggregate = {
         method: {
-            f"{alpha:g}": {
+            fmt_number(alpha): {
                 zone.value: float(fmt_number(zones[method, alpha, zone.value] / totals[method, alpha]))
                 for zone in Zone
             }
@@ -465,7 +469,7 @@ def cmd_estimate(args) -> int:
     with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["date", "return"] + [
-            f"neg_{measure.value}:{label}:{alpha:g}" for label, alpha, measure in columns
+            f"neg_{measure.value}:{label}:{fmt_number(alpha)}" for label, alpha, measure in columns
         ])
         writer.writerows(
             [dates[day - 1].isoformat(), fmt_number(realized)]

@@ -207,8 +207,8 @@ def _t_es_factor(df, alpha, q):
     :func:`~riskbench.studentt.gamma_half_ratio`, within 1e-15 relative,
     rather than from a difference of log-gammas, which are of size
     df*log(df)/2 and so lose digits as aggressive prior inflation drives df
-    up (about 1e-9 relative at df = 1e6, 1e-3 at 1e12). scipy's ``poch``,
-    used before, is off by 1.3e-13 at df = 300 and 2.7e-13 at df = 2001.
+    up (about 1e-9 relative at df = 1e6, 1e-3 at 1e12). The Pochhammer
+    ratio ``poch``, used before, is off by 1.3e-13 at df = 300 and 2.7e-13 at df = 2001.
     """
     log_factor = (
         np.log(gamma_half_ratio(df / 2.0))

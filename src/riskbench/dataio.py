@@ -13,6 +13,7 @@ import datetime as dt
 import functools
 import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,11 @@ def ingest_returns(path, mode: str = "returns") -> ReturnHistory:
     """
     if mode not in ("returns", "prices"):
         raise ParameterError(f"mode must be 'returns' or 'prices', got {mode!r}")
-    rows: list[tuple[dt.date, list[float], int]] = []
+    # The cells go into one flat buffer of doubles, row after row, with each
+    # row's date and physical line number in parallel lists.
+    cells = array("d")
+    dates: list[dt.date] = []
+    line_nos: list[int] = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -86,8 +91,8 @@ def ingest_returns(path, mode: str = "returns") -> ReturnHistory:
                 raise DataError(
                     f"line {line_no}: expected {len(asset_ids) + 1} cells, got {len(row)}"
                 )
-            date = _parse_date(row[0], line_no)
-            values = []
+            dates.append(_parse_date(row[0], line_no))
+            line_nos.append(line_no)
             for col, cell in zip(asset_ids, row[1:]):
                 cell = cell.strip()
                 if not cell:
@@ -100,28 +105,29 @@ def ingest_returns(path, mode: str = "returns") -> ReturnHistory:
                     ) from None
                 if not math.isfinite(value):
                     raise DataError(f"line {line_no}: non-finite value in column {col!r}")
-                values.append(value)
-            rows.append((date, values, line_no))
+                cells.append(value)
 
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(rows)}")
+    if len(dates) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(dates)}")
     seen: dict[dt.date, int] = {}
-    for date, _, line_no in rows:
+    for date, line_no in zip(dates, line_nos):
         if date in seen:
             raise DataError(
                 f"line {line_no}: duplicate date {date.isoformat()} (first seen on line {seen[date]})"
             )
         seen[date] = line_no
-    rows.sort(key=lambda r: r[0])
-    dates = tuple(r[0] for r in rows)
-    data = np.array([r[1] for r in rows], dtype=float)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    data = np.frombuffer(cells).reshape(len(dates), len(asset_ids))[order]
+    dates = tuple(dates[i] for i in order)
 
     if mode == "prices":
-        for (date, values, line_no) in rows:
-            if any(v <= 0 for v in values):
-                raise DataError(
-                    f"line {line_no}: nonpositive price on {date.isoformat()}; cannot form returns"
-                )
+        bad = np.flatnonzero((data <= 0).any(axis=1))
+        if bad.size:
+            row = bad[0]
+            raise DataError(
+                f"line {line_nos[order[row]]}: nonpositive price on {dates[row].isoformat()}; "
+                "cannot form returns"
+            )
         data = data[1:] / data[:-1] - 1.0
         dates = dates[1:]
     return ReturnHistory(data=data, asset_ids=asset_ids, dates=dates)

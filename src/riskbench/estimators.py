@@ -98,8 +98,7 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     Then ``df = n + d0 - 2k``, squared scale ``(n+r0+1)/((n+r0) df) * w'Sw``
     and location ``w' mean``. ``D`` is ``diag(sigma_r/sigma)`` for ``vs``
     and the identity for ``eb``; the caller's ``ok`` marks the days where it
-    is positive. The days that fail ``ok`` or any check here are NaN, as
-    are those whose t quantile did not converge (see ``t_quantiles``).
+    is positive. The days that fail ``ok`` or any check here are NaN.
 
     ``ConjugateHyperparams`` requires ``S0`` positive definite. The relative
     pivot test on ``moments.pivots`` does not change when a matrix is

@@ -1,12 +1,10 @@
 """Student-t distribution functions used by the closed-form risk formulas.
 
-There are two t quantiles. The scalar :func:`t_quantile` is scipy's
-``stdtrit`` and is the reference; :func:`t_cdf` is scipy's ``stdtr``. Both
-import scipy on their first call, because scipy is the slowest import of the
-package. The batched engine prices every day with :func:`t_quantiles`, a
-numpy kernel that the tests hold to the reference, so a run that never falls
-back to the scalar path never loads scipy. The density, the gamma ratio and
-the normal functions need only numpy and the standard library.
+There is one t quantile: :func:`t_quantiles`, a numpy kernel that prices
+every day of the batched engine. The scalar reference :func:`t_quantile`
+returns its element, so the package needs numpy and the standard library
+only. The test suite holds the kernel to an independent t quantile and to
+high-precision roots.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import numpy as np
 from .errors import DegreesOfFreedomError, ParameterError
 
 __all__ = [
-    "t_cdf",
     "t_pdf",
     "t_quantile",
     "t_quantiles",
@@ -49,7 +46,7 @@ def _small_gamma_half_ratio(x: float) -> float:
         # x - 1/2 is exact here, while x + 1/2 rounds once it crosses a power
         # of two, which costs up to 7e-14 relative near x = 128.
         return (x - 0.5) * math.gamma(x - 0.5) / math.gamma(x)
-    return math.gamma(x + 0.5) / math.gamma(x)
+    return x * math.gamma(x + 0.5) / math.gamma(x + 1.0)  # Gamma(x) overflows near 0
 
 
 def _large_gamma_half_ratio(x):
@@ -81,13 +78,6 @@ def gamma_half_ratio(x):
     return out
 
 
-def t_cdf(df: float, x: float) -> float:
-    """CDF of the standard t-distribution with ``df`` degrees of freedom."""
-    from scipy.special import stdtr
-
-    return float(stdtr(_check_df(df), float(x)))
-
-
 def t_pdf(df: float, x: float) -> float:
     """Density of the standard t-distribution."""
     df = _check_df(df)
@@ -97,18 +87,21 @@ def t_pdf(df: float, x: float) -> float:
 
 
 def t_quantile(df: float, p: float) -> float:
-    """Value q with ``t_cdf(df, q) = p`` to within 1e-10 on the CDF scale."""
+    """Value q with ``F(q) = p`` for the t CDF ``F`` with ``df`` degrees of
+    freedom: the :func:`t_quantiles` element at level ``max(p, 1 - p)``,
+    negated below 1/2, and 0 at 1/2. Within 1e-10 of ``p`` on the CDF scale
+    for df in [0.05, 1e12]; infinite where ``|q|`` exceeds the largest
+    double, or where ``p < 1/2`` and ``1 - p`` rounds to 1.
+    """
     df = _check_df(df)
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ParameterError(f"quantile level must lie strictly inside (0, 1), got {p!r}")
     if p == 0.5:
         return 0.0
-    from scipy.special import stdtrit
-
-    if p > 0.5:
-        return float(stdtrit(df, p))
-    return -float(stdtrit(df, 1.0 - p))
+    level = max(p, 1.0 - p)
+    q = math.inf if level == 1.0 else float(t_quantiles(np.array([df]), [level])[0, 0])
+    return q if p > 0.5 else -q
 
 
 # t_quantiles budgets. A series stops at its first term that is this small
@@ -128,6 +121,10 @@ _TAIL_MAX_X = 0.7
 # Central-series elements whose (alpha - 1/2) / (t f(t)) exceeds this take
 # their last Newton step in long double.
 _LONG_STEP_MIN = 100.0
+# The bits of +inf. Read as integers, the bits of the positive doubles rise
+# with their values, nearly as 2^52 log2(t) does, so halving a range of bits
+# bisects log t.
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 def _hyp_series(b, d, y):
@@ -183,7 +180,7 @@ def _newton_step(t, nu, scale, p, q):
 
 def t_quantiles(df, alphas) -> np.ndarray:
     """The ``alphas`` quantiles of the standard t at each ``df``, as a
-    ``(len(df), len(alphas))`` array: the batched engine's t quantile.
+    ``(len(df), len(alphas))`` array: the package's one t quantile.
 
     Newton steps on the t CDF from a Cornish-Fisher start (terms to
     1/df^3), each element until its own step is below ``_STEP_RTOL``; the
@@ -192,12 +189,13 @@ def t_quantiles(df, alphas) -> np.ndarray:
     taken in long double. Within 4e-13 relative of ``stdtrit`` for df in
     [4, 1e12] and alpha in [0.51, 0.9999] where long double has a 64-bit
     significand (x86-64); where it is double, the high levels lose up to
-    three times that. An element is NaN where ``df`` is not positive and
-    finite, alpha is not in (0.5, 1), or a series or the Newton loop does
-    not stop within its budget; the engine then prices that day with the
-    scalar reference. Each distinct df is solved once, and an element's bits
-    depend only on its own df and alpha, so the distinct df are solved in
-    groups of ``_SOLVE_ELEMENTS`` elements, which bounds the temporaries.
+    three times that. An element whose Newton loop does not stop within its
+    budgets (small df at high levels, extreme levels) is solved by
+    :func:`_bisect` instead, so every element with a positive finite ``df``
+    and alpha in (0.5, 1) is finite or +inf; the others are NaN. Each
+    distinct df is solved once, and an element's bits depend only on its
+    own df and alpha, so the distinct df are solved in groups of
+    ``_SOLVE_ELEMENTS`` elements, which bounds the temporaries.
     """
     df = np.asarray(df, dtype=float)
     levels = np.asarray(alphas, dtype=float)
@@ -208,9 +206,11 @@ def t_quantiles(df, alphas) -> np.ndarray:
     return out[inverse]
 
 
+@np.errstate(all="ignore")  # non-finite starts and steps are handled below
 def _solve_quantiles(unique, levels) -> np.ndarray:
     """:func:`t_quantiles` of distinct ``unique`` df, as ``(len(unique), len(levels))``."""
     valid = np.repeat((unique > 0) & np.isfinite(unique), levels.size)
+    valid &= np.tile((levels > 0.5) & (levels < 1.0), unique.size)
     nu = np.where(valid, np.repeat(unique, levels.size), 1.0)
     alpha = np.tile(levels, unique.size)
     # Cornish-Fisher: t = z (1 + g1/df + g2/df^2 + g3/df^3), z the normal quantile.
@@ -221,12 +221,11 @@ def _solve_quantiles(unique, levels) -> np.ndarray:
     z, g1, g2, g3 = (np.tile(g, unique.size) for g in (z, g1, g2, g3))
     v = 1.0 / nu
     t = z * (1.0 + v * (g1 + v * (g2 + v * g3)))
-    valid &= np.isfinite(t)
     scale = gamma_half_ratio(nu / 2.0) / np.sqrt(np.pi * nu)
     p, q = alpha - 0.5, 1.0 - alpha
     out = np.full(t.shape, np.nan)
     ill = np.zeros(t.shape, dtype=bool)
-    live = np.flatnonzero(valid)
+    live = np.flatnonzero(valid & np.isfinite(t))
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
@@ -241,8 +240,38 @@ def _solve_quantiles(unique, levels) -> np.ndarray:
     idx = np.flatnonzero(ill)
     if idx.size:
         wide = [a[idx].astype(np.longdouble) for a in (out, nu, scale, p, q)]
-        out[idx] = wide[0] + _newton_step(*wide)[0]
+        step = _newton_step(*wide)[0]
+        # A step above the loop's stopping bound shows that the loop stopped
+        # on rounding noise (at extreme levels); such an element is bisected.
+        out[idx] = np.where(np.abs(step) <= _STEP_RTOL * wide[0], wide[0] + step, np.nan)
+    idx = np.flatnonzero(valid & np.isnan(out))
+    if idx.size:
+        out[idx] = _bisect(*(a[idx] for a in (nu, scale, p, q)))
     return out.reshape(unique.size, levels.size)
+
+
+def _bisect(nu, scale, p, q) -> np.ndarray:
+    """The smallest double ``t > 0`` at which the t CDF reaches ``1/2 + p``,
+    or +inf where it stays below that at the largest finite t.
+
+    Bisection on log t, taken on the bits of t, so that each element ends on
+    two adjacent doubles after at most 63 steps. The side of the root is the
+    sign of :func:`_newton_step`, in long double so that ``t^2`` and the
+    density do not overflow or underflow at any finite t; a NaN step (the
+    series did not stop) puts the root to the left.
+    """
+    lo = np.zeros(nu.shape, np.uint64)
+    hi = np.full(nu.shape, _INF_BITS)
+    wide = [a.astype(np.longdouble) for a in (nu, scale, p, q)]
+    live = np.arange(nu.size)
+    while live.size:
+        mid = (lo[live] + hi[live]) // 2
+        t = mid.view(np.float64).astype(np.longdouble)
+        right = _newton_step(t, *(a[live] for a in wide))[0] > 0
+        lo[live[right]] = mid[right]
+        hi[live[~right]] = mid[~right]
+        live = live[hi[live] - lo[live] > 1]
+    return hi.view(np.float64)
 
 
 def normal_quantile(p: float) -> float:

@@ -8,11 +8,13 @@ the closed-form predictive risk numbers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 from scipy import stats as sstats
+from scipy.special import betaln, stdtr
 
 
 def brute_force_cov(data: np.ndarray) -> np.ndarray:
@@ -41,6 +43,24 @@ def normal_es(alpha: float) -> float:
 
 def t_ppf_reference(df: float, p: float) -> float:
     return float(sstats.t.ppf(p, df))
+
+
+def t_cdf(df: float, x: float) -> float:
+    """CDF of the standard t-distribution with ``df`` degrees of freedom.
+
+    scipy's ``stdtr`` below |x| = 1e150. Above, ``x^2`` overflows inside
+    ``stdtr``, which then returns 0 or 1 although the tail of a small df is
+    still near 1e-8 there. The tail ``I_z(df/2, 1/2) / 2``,
+    ``z = df / (df + x^2)``, is then the leading term of the incomplete beta
+    series, ``z^a / (a B(a, 1/2))`` with ``a = df/2``, taken in logs; the
+    next term is below 1e-280 relative for df <= 1e12.
+    """
+    df, x = float(df), float(x)
+    if abs(x) < 1e150:
+        return float(stdtr(df, x))
+    a = df / 2.0
+    tail = math.exp(a * (math.log(df) - 2.0 * math.log(abs(x))) - math.log(a) - betaln(a, 0.5)) / 2.0
+    return 1.0 - tail if x > 0 else tail
 
 
 def posterior_predictive_samples(

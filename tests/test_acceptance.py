@@ -23,7 +23,6 @@ from riskbench import (
     equal_weights,
     posterior_predictive,
     risk_estimate,
-    t_cdf,
     t_quantile,
     traffic_light,
     vs_hyperparams,
@@ -35,6 +34,7 @@ from _oracles import (
     empirical_quantile_band,
     exact_binomial_cdf,
     posterior_predictive_samples,
+    t_cdf,
 )
 
 

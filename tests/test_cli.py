@@ -402,3 +402,34 @@ def test_dcc_loss_of_positive_definiteness_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "numerical error: correlation recursion lost positive definiteness\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["backtest", "estimate"])
+def test_level_above_the_cap_exits_2(tmp_path, capsys, command):
+    code = run_cli(command, "--scenario", "mvn", "--k", "2", "--t", "80", "--window", "40",
+                   "--alpha", "0.99,0.99999", "--method", "sample", "--out", str(tmp_path / "o"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "0.99999" in err and "0.9999]" in err
+
+
+def test_levels_that_print_alike_exit_2(tmp_path, capsys):
+    code = run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "80", "--window", "40",
+                   "--alpha", "0.99,0.975,0.99", "--method", "sample", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "backtest.levels repeat 0.99 " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_levels_are_labelled_with_12_digits(tmp_path):
+    # With "%g" both levels printed as 0.9751, and aggregate.json kept one.
+    levels = "0.9751,0.97510001,0.9999"
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "80", "--window", "40",
+                   "--alpha", levels, "--method", "sample", "--out", str(out)) == 0
+    assert [row[3] for row in read_csv(out / "report.csv")[1:]] == levels.split(",")
+    assert sorted(json.loads((out / "aggregate.json").read_text())["sample"]) == levels.split(",")
+    series = tmp_path / "est.csv"
+    assert run_cli("estimate", "--scenario", "mvn", "--k", "2", "--t", "80", "--window", "40",
+                   "--alpha", levels, "--method", "sample", "--out", str(series)) == 0
+    assert read_csv(series)[0][2::2] == [f"neg_var:sample:{a}" for a in levels.split(",")]

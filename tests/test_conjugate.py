@@ -16,7 +16,6 @@ from riskbench import (
     posterior_predictive,
     risk_estimate,
     sample_stats,
-    t_cdf,
     var_quantile_factor,
 )
 from riskbench.conjugate import PredictiveParams, _quad_form_spd
@@ -26,6 +25,7 @@ from _oracles import (
     ks_two_sample,
     normal_es,
     posterior_predictive_samples,
+    t_cdf,
 )
 
 

@@ -1,8 +1,7 @@
 """Import hygiene: the simulate path loads neither scipy nor the process
-pool, the package's lazily loaded names all resolve, and backtest and
-estimate load scipy only on a day that the scalar reference prices. Each
-check runs in a fresh interpreter, because the test process has imported
-everything already."""
+pool, the package's lazily loaded names all resolve, and every command runs
+with scipy refused, with the same output bytes. Each check runs in a fresh
+interpreter, because the test process has imported everything already."""
 
 import json
 import os
@@ -16,11 +15,13 @@ import pytest
 import riskbench
 
 
-def run_fresh_python(code, cwd):
-    """Run ``code`` in a new interpreter that imports this riskbench; return
-    its stdout parsed as JSON."""
+def run_fresh_python(code, cwd, path=()):
+    """Run ``code`` in a new interpreter that imports this riskbench, with
+    the directories ``path`` first on its module path; return its stdout
+    parsed as JSON."""
     src = str(Path(riskbench.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    entries = [*map(str, path), src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, entries)))
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -81,7 +82,7 @@ PUBLIC_NAMES = [
     "parse_method", "parse_methods", "portfolio_return", "posterior_predictive",
     "replication_seed", "risk_estimate", "rolling_forecasts", "rolling_moments", "run_backtest",
     "sample_method_estimate", "sample_stats", "short_window_std", "simulate", "simulate_dcc",
-    "simulate_mvn", "simulate_pmvn", "simulate_pmvn_detail", "t_cdf", "t_pdf", "t_quantile",
+    "simulate_mvn", "simulate_pmvn", "simulate_pmvn_detail", "t_pdf", "t_quantile",
     "traffic_light", "var_quantile_factor", "vs_hyperparams",
 ]
 
@@ -90,91 +91,109 @@ def test_public_names_are_pinned():
     assert sorted(riskbench.__all__) == PUBLIC_NAMES
 
 
-def test_backtest_and_estimate_load_no_scipy(tmp_path):
-    seen = run_fresh_python("""
-        import concurrent.futures, contextlib, io, json, sys
-        from riskbench.cli import main
-
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-        seen = {}
-
-        class RecordingPool:
-            def __init__(self, max_workers=None):
-                seen["pool start"] = scipy_modules()
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        concurrent.futures.ProcessPoolExecutor = RecordingPool
-        readme = ["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500", "--seed", "7",
-                  "--replications", "20", "--window", "250", "--alpha", "0.975,0.99",
-                  "--method", "vs(4,2,0)", "--method", "vs(4,0,0)", "--method", "eb",
-                  "--method", "sample"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(readme + ["--jobs", "1", "--out", "bt1"]) == 0
-            seen["--jobs 1"] = scipy_modules()
-            assert main(readme + ["--jobs", "2", "--out", "bt2"]) == 0
-            seen["--jobs 2"] = scipy_modules()
-            assert main(["estimate", "--scenario", "dcc", "--k", "4", "--t", "400",
-                         "--alpha", "0.975,0.999", "--out", "est.csv"]) == 0
-        seen["estimate"] = scipy_modules()
-        with open("est.csv") as fh:
-            header = fh.readline()
-        seen["measures"] = ["neg_var:" in header, "neg_cvar:" in header]
-        print(json.dumps(seen))
-    """, tmp_path)
-    assert seen == {"pool start": [], "--jobs 1": [], "--jobs 2": [], "estimate": [],
-                    "measures": [True, True]}
-    assert (tmp_path / "bt1" / "report.csv").read_bytes() == \
-        (tmp_path / "bt2" / "report.csv").read_bytes()
+# A sitecustomize module that refuses every scipy import in each interpreter
+# started with its directory on the module path, --jobs workers included.
+REFUSE_SCIPY = """
+import sys
 
 
-def test_scipy_loaded_only_on_scalar_days(tmp_path):
-    seen = run_fresh_python("""
-        import contextlib, io, json, sys
-        import numpy as np
-        from riskbench import RollingConfig, VolatilitySensitive, equal_weights, run_backtest
-        from riskbench.cli import main
+class RefuseScipy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is refused here: {name}")
+        return None
 
-        def scipy_loaded():
-            return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
-        # A flat column: the batched engine marks every vs and eb day, and the
-        # scalar reference rejects the first one before it reaches a t quantile.
-        rng = np.random.default_rng(8)
-        with open("flat.csv", "w") as fh:
-            fh.write("date,ALPHA,STALE\\n")
-            for day, value in enumerate(rng.normal(0, 0.01, 270)):
-                fh.write(f"2021-{1 + day // 28:02d}-{1 + day % 28:02d},{value:.10f},0\\n")
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["backtest", "--input", "flat.csv", "--window", "250",
-                         "--method", "vs(4,2,0)", "--method", "eb", "--method", "sample",
-                         "--out", "bt"])
-        seen = {"flat": [code, err.getvalue(), scipy_loaded()]}
+sys.meta_path.insert(0, RefuseScipy)
+"""
 
-        # Noise near the degenerate floor: the batched checks flag the later
-        # days and the scalar reference prices them, importing scipy.
-        returns = np.random.default_rng(9).normal(0, 0.01, (120, 3))
-        floor = 60 * np.finfo(float).eps * 0.01
-        scale = np.where(np.arange(120) < 60, 3.0, 1.5) * floor
-        returns[:, 1] = 0.01 + scale * np.random.default_rng(9).standard_normal(120)
-        _, failures = run_backtest(returns, equal_weights(3), RollingConfig(window=60),
-                                   [VolatilitySensitive(4, 2.0, 0.0)])
-        seen["near floor"] = [failures, scipy_loaded()]
-        print(json.dumps(seen))
-    """, tmp_path)
-    assert seen == {
-        "flat": [0, "warning: replication 0, method vs(4,2,0) skipped: asset 'STALE' has zero "
-                    "variance over the window\nwarning: replication 0, method eb skipped: prior "
-                    "scale matrix is not positive definite\n", False],
-        "near floor": [[], True],
-    }
+# The commands and the library run that the package must serve without scipy.
+# They write their outputs to the working directory and print what they saw.
+WITHOUT_SCIPY = """
+    import contextlib, io, json, sys
+    import numpy as np
+    import riskbench.conjugate
+    from riskbench import RollingConfig, VolatilitySensitive, equal_weights, run_backtest
+    from riskbench.cli import main
+
+    readme = ["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500", "--seed", "7",
+              "--replications", "20", "--window", "250", "--alpha", "0.975,0.99",
+              "--method", "vs(4,2,0)", "--method", "vs(4,0,0)", "--method", "eb",
+              "--method", "sample"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--scenario", "pmvn", "--k", "5", "--t", "300", "--seed", "3",
+                     "--out", "pmvn.csv"]) == 0
+        assert main(readme + ["--jobs", "1", "--out", "bt1"]) == 0
+        assert main(readme + ["--jobs", "2", "--out", "bt2"]) == 0
+        assert main(["estimate", "--scenario", "dcc", "--k", "4", "--t", "400",
+                     "--alpha", "0.975,0.999", "--out", "est.csv"]) == 0
+
+    # A flat column: the batched engine marks every vs and eb day, and the
+    # scalar reference rejects the first one before it reaches a t quantile.
+    rng = np.random.default_rng(8)
+    with open("flat.csv", "w") as fh:
+        fh.write("date,ALPHA,STALE\\n")
+        for day, value in enumerate(rng.normal(0, 0.01, 270)):
+            fh.write(f"2021-{1 + day // 28:02d}-{1 + day % 28:02d},{value:.10f},0\\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        flat = [main(["backtest", "--input", "flat.csv", "--window", "250",
+                      "--method", "vs(4,2,0)", "--method", "eb", "--method", "sample",
+                      "--out", "flat"]), err.getvalue()]
+
+    # Noise near the degenerate floor: the batched checks flag the later
+    # days and the scalar reference prices them.
+    scalar_quantiles = []
+    t_quantile = riskbench.conjugate.t_quantile
+    riskbench.conjugate.t_quantile = lambda df, p: scalar_quantiles.append(p) or t_quantile(df, p)
+    returns = np.random.default_rng(9).normal(0, 0.01, (120, 3))
+    floor = 60 * np.finfo(float).eps * 0.01
+    scale = np.where(np.arange(120) < 60, 3.0, 1.5) * floor
+    returns[:, 1] = 0.01 + scale * np.random.default_rng(9).standard_normal(120)
+    reports, failures = run_backtest(returns, equal_weights(3), RollingConfig(window=60),
+                                     [VolatilitySensitive(4, 2.0, 0.0)])
+    with open("near_floor.json", "w") as fh:
+        json.dump([[r.method, r.alpha, r.exceedances, r.cum_prob] for r in reports], fh)
+
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    try:
+        import scipy
+        importable = True
+    except ImportError:
+        importable = False
+    print(json.dumps({"scipy loaded": loaded, "scipy importable": importable, "flat": flat,
+                      "failures": [str(exc) for _, exc in failures],
+                      "scalar days": len(scalar_quantiles) > 0}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    refuse = tmp_path / "refuse"
+    refuse.mkdir()
+    (refuse / "sitecustomize.py").write_text(REFUSE_SCIPY)
+    seen = {}
+    for run, path in (("refused", [refuse]), ("allowed", [])):
+        (tmp_path / run).mkdir()
+        seen[run] = run_fresh_python(WITHOUT_SCIPY, tmp_path / run, path)
+    flat = [0, "warning: replication 0, method vs(4,2,0) skipped: asset 'STALE' has zero "
+               "variance over the window\nwarning: replication 0, method eb skipped: prior "
+               "scale matrix is not positive definite\n"]
+    expected = {"scipy loaded": [], "flat": flat, "failures": [], "scalar days": True}
+    assert seen == {"refused": {**expected, "scipy importable": False},
+                    "allowed": {**expected, "scipy importable": True}}
+    outputs = {run: {p.relative_to(tmp_path / run): p.read_bytes()
+                     for p in sorted((tmp_path / run).rglob("*")) if p.is_file()}
+               for run in seen}
+    assert len(outputs["refused"]) == 11  # 2 CSVs + sidecar, 3 x 2 backtest files, series, near floor
+    assert outputs["refused"] == outputs["allowed"]
+    report = outputs["refused"][Path("bt1", "report.csv")]
+    assert report == outputs["refused"][Path("bt2", "report.csv")]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in project["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])

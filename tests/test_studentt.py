@@ -8,10 +8,10 @@ from scipy.integrate import quad
 from scipy.special import stdtrit
 from scipy.stats import t as student
 
-from riskbench import DegreesOfFreedomError, ParameterError, t_cdf, t_pdf, t_quantile
+from riskbench import DegreesOfFreedomError, ParameterError, t_pdf, t_quantile
 from riskbench.studentt import gamma_half_ratio, normal_es_factor, normal_quantile, t_quantiles
 
-from _oracles import normal_es, t_ppf_reference
+from _oracles import normal_es, t_cdf, t_ppf_reference
 
 
 def cauchy_quantile(p):
@@ -189,3 +189,35 @@ def test_array_quantile_rejects_levels_outside_its_range():
     q = t_quantiles(np.array([10.0, 500.0]), [0.5, 0.9, 1.0, 0.3])
     assert np.isnan(q[:, [0, 2, 3]]).all()
     assert np.isfinite(q[:, 1]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_df=st.floats(math.log(0.05), math.log(1e12)),
+    p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_quantile_is_total_odd_and_within_contract(log_df, p):
+    df = math.exp(log_df)
+    q = t_quantile(df, p)
+    assert math.isfinite(q) or q == math.copysign(math.inf, p - 0.5)
+    if 1.0 - p < 1.0:
+        assert t_quantile(df, 1.0 - p) == -q
+    assert abs(t_cdf(df, q) - p) <= 1e-10
+
+
+# Quantiles to 17 digits (50-digit arithmetic). The first four are where the
+# Newton loop alone does not stop within its budget, so the kernel bisects;
+# at the last, stdtrit is 4e-4 relative off.
+SCALAR_QUANTILES = [
+    (0.5, 0.999, 102849.11563017537),
+    (1.0, 0.9999, 3183.0987571185015),
+    (1.5, 0.99999, 1124.5001233846194),
+    (3.0, 1 - 1e-7, 222.57159098625124),
+    (4.0, 0.5000001, 2.6666666652630906e-7),
+]
+
+
+@pytest.mark.parametrize("df, p, exact", SCALAR_QUANTILES)
+def test_quantile_pinned_values(df, p, exact):
+    assert t_quantile(df, p) == pytest.approx(exact, rel=5e-13, abs=0)
+    assert t_quantile(df, 1 - p) == pytest.approx(-exact, rel=5e-13, abs=0)
