@@ -108,13 +108,39 @@ class RefuseScipy:
 sys.meta_path.insert(0, RefuseScipy)
 """
 
-# The commands and the library run that the package must serve without scipy.
-# They write their outputs to the working directory and print what they saw.
-WITHOUT_SCIPY = """
+def run_with_and_without_scipy(code, tmp_path):
+    """Run ``code`` in a fresh interpreter twice, once with every scipy import
+    refused and once without; return what each run printed and the bytes of
+    every file each run wrote to its working directory."""
+    refuse = tmp_path / "refuse"
+    refuse.mkdir()
+    (refuse / "sitecustomize.py").write_text(REFUSE_SCIPY)
+    seen = {}
+    for run, path in (("refused", [refuse]), ("allowed", [])):
+        (tmp_path / run).mkdir()
+        seen[run] = run_fresh_python(code, tmp_path / run, path)
+    outputs = {run: {p.relative_to(tmp_path / run): p.read_bytes()
+                     for p in sorted((tmp_path / run).rglob("*")) if p.is_file()}
+               for run in seen}
+    return seen, outputs
+
+
+# What a run prints about scipy after its commands.
+SCIPY_SEEN = """
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    try:
+        import scipy
+        importable = True
+    except ImportError:
+        importable = False
+    seen.update({"scipy loaded": loaded, "scipy importable": importable})
+    print(json.dumps(seen))
+"""
+
+# The commands of the README, which must run without scipy, --jobs workers
+# included; they write their outputs to the working directory.
+COMMANDS = """
     import contextlib, io, json, sys
-    import numpy as np
-    import riskbench.conjugate
-    from riskbench import RollingConfig, VolatilitySensitive, equal_weights, run_backtest
     from riskbench.cli import main
 
     readme = ["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500", "--seed", "7",
@@ -128,6 +154,32 @@ WITHOUT_SCIPY = """
         assert main(readme + ["--jobs", "2", "--out", "bt2"]) == 0
         assert main(["estimate", "--scenario", "dcc", "--k", "4", "--t", "400",
                      "--alpha", "0.975,0.999", "--out", "est.csv"]) == 0
+    with open("est.csv") as fh:
+        header = fh.readline()
+    seen = {"measures": ["neg_var:" in header, "neg_cvar:" in header]}
+""" + SCIPY_SEEN
+
+
+def test_backtest_and_estimate_load_no_scipy(tmp_path):
+    seen, outputs = run_with_and_without_scipy(COMMANDS, tmp_path)
+    expected = {"scipy loaded": [], "measures": [True, True]}
+    assert seen == {"refused": {**expected, "scipy importable": False},
+                    "allowed": {**expected, "scipy importable": True}}
+    assert len(outputs["refused"]) == 7  # CSV + sidecar, 2 x 2 backtest files, series
+    assert outputs["refused"] == outputs["allowed"]
+    report = outputs["refused"][Path("bt1", "report.csv")]
+    assert report == outputs["refused"][Path("bt2", "report.csv")]
+
+
+# The runs whose days the batched engine leaves to the scalar reference.
+# scipy is loaded on none of them: the scalar reference prices its t
+# quantiles with the same numpy kernel as the batched engine.
+SCALAR_DAYS = """
+    import contextlib, io, json, sys
+    import numpy as np
+    import riskbench.conjugate
+    from riskbench import RollingConfig, VolatilitySensitive, equal_weights, run_backtest
+    from riskbench.cli import main
 
     # A flat column: the batched engine marks every vs and eb day, and the
     # scalar reference rejects the first one before it reaches a t quantile.
@@ -155,40 +207,21 @@ WITHOUT_SCIPY = """
                                      [VolatilitySensitive(4, 2.0, 0.0)])
     with open("near_floor.json", "w") as fh:
         json.dump([[r.method, r.alpha, r.exceedances, r.cum_prob] for r in reports], fh)
-
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-    try:
-        import scipy
-        importable = True
-    except ImportError:
-        importable = False
-    print(json.dumps({"scipy loaded": loaded, "scipy importable": importable, "flat": flat,
-                      "failures": [str(exc) for _, exc in failures],
-                      "scalar days": len(scalar_quantiles) > 0}))
-"""
+    seen = {"flat": flat, "failures": [str(exc) for _, exc in failures],
+            "scalar days": len(scalar_quantiles) > 0}
+""" + SCIPY_SEEN
 
 
-def test_commands_run_without_scipy(tmp_path):
-    refuse = tmp_path / "refuse"
-    refuse.mkdir()
-    (refuse / "sitecustomize.py").write_text(REFUSE_SCIPY)
-    seen = {}
-    for run, path in (("refused", [refuse]), ("allowed", [])):
-        (tmp_path / run).mkdir()
-        seen[run] = run_fresh_python(WITHOUT_SCIPY, tmp_path / run, path)
+def test_scipy_loaded_only_on_scalar_days(tmp_path):
+    seen, outputs = run_with_and_without_scipy(SCALAR_DAYS, tmp_path)
     flat = [0, "warning: replication 0, method vs(4,2,0) skipped: asset 'STALE' has zero "
                "variance over the window\nwarning: replication 0, method eb skipped: prior "
                "scale matrix is not positive definite\n"]
     expected = {"scipy loaded": [], "flat": flat, "failures": [], "scalar days": True}
     assert seen == {"refused": {**expected, "scipy importable": False},
                     "allowed": {**expected, "scipy importable": True}}
-    outputs = {run: {p.relative_to(tmp_path / run): p.read_bytes()
-                     for p in sorted((tmp_path / run).rglob("*")) if p.is_file()}
-               for run in seen}
-    assert len(outputs["refused"]) == 11  # 2 CSVs + sidecar, 3 x 2 backtest files, series, near floor
+    assert len(outputs["refused"]) == 4  # input CSV, 2 backtest files, near floor
     assert outputs["refused"] == outputs["allowed"]
-    report = outputs["refused"][Path("bt1", "report.csv")]
-    assert report == outputs["refused"][Path("bt2", "report.csv")]
 
 
 def test_numpy_is_the_only_runtime_dependency():
