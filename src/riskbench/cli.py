@@ -62,6 +62,39 @@ REPORT_HEADER = "replication,portfolio,method,alpha,exceedances,cum_prob,zone,ru
 # configuration handling
 
 
+# The keys each config section takes, whether or not a given run reads them
+# (``k`` is read only with a scenario input, for example).
+_ESTIMATION_KEYS = "input scenario k t seed window levels methods mode weights out"
+_CONFIG_KEYS = {
+    "simulate": "scenario k t seed start_date out".split(),
+    "backtest": (_ESTIMATION_KEYS + " replications jobs").split(),
+    "estimate": _ESTIMATION_KEYS.split(),
+    "scenario.mvn": "mean vol correlation".split(),
+    "scenario.pmvn": "mean vol correlation period_lengths regime_probs low_scale high_scale".split(),
+    "scenario.dcc": "mean correlation omega arch garch theta1 theta2".split(),
+}
+
+
+def _check_config_keys(parser: configparser.ConfigParser, path: str) -> None:
+    """Refuse a section or key that no command reads, which would otherwise
+    leave its value at the default without a word. configparser copies the
+    ``[DEFAULT]`` keys into every section, so they are checked once, against
+    the keys of all sections."""
+    defaults = parser.defaults()
+    every_key = {key for keys in _CONFIG_KEYS.values() for key in keys}
+    keys = [("DEFAULT", key, every_key) for key in defaults]
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ValidationError(f"{path}: unknown config section [{section}]; "
+                                  f"expected {', '.join(_CONFIG_KEYS)}")
+        keys += [(section, key, _CONFIG_KEYS[section]) for key in parser[section]
+                 if key not in defaults]
+    for section, key, allowed in keys:
+        if key not in allowed:
+            raise ValidationError(f"{path}: unknown config key {section}.{key}; "
+                                  f"expected {', '.join(sorted(allowed))}")
+
+
 def _load_config(path: str | None) -> configparser.ConfigParser:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     if path is not None:
@@ -71,6 +104,9 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
             parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ValidationError(f"cannot parse config file {path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"config file {path} is not UTF-8 text") from None
+        _check_config_keys(parser, path)
     return parser
 
 
@@ -83,26 +119,25 @@ _KIND_NAMES = {int: "an integer", float: "a number", _floats: "a list of numbers
 
 
 def _cfg_get(cfg: configparser.ConfigParser, section: str, key: str, flag_value, default,
-             kind=None):
+             kind=None, at_least=None):
     """Resolution order: explicit flag, config file value, default.
 
     ``kind`` (``int``, ``float`` or ``_floats``) converts the value; a value
-    it rejects is a :class:`ValidationError` naming ``section.key``.
+    it rejects, or one below ``at_least``, is a :class:`ValidationError`
+    naming ``section.key``.
     """
-    if flag_value is not None:
-        raw = flag_value
-    elif cfg.has_option(section, key):
-        raw = cfg.get(section, key)
-    else:
-        raw = default
+    raw = flag_value if flag_value is not None else cfg.get(section, key, fallback=default)
     if kind is None or raw is None:
         return raw
     try:
-        return kind(raw)
+        value = kind(raw)
     except (TypeError, ValueError):
         raise ValidationError(
             f"{section}.{key} must be {_KIND_NAMES[kind]}, got {raw!r}"
         ) from None
+    if at_least is not None and value < at_least:
+        raise ValidationError(f"{section}.{key} must be at least {at_least}, got {value}")
+    return value
 
 
 def _resolve_seed(cfg: configparser.ConfigParser, section: str, flag_value) -> int:
@@ -114,13 +149,6 @@ def _resolve_seed(cfg: configparser.ConfigParser, section: str, flag_value) -> i
         return int(raw)
     except ValueError:
         raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def _resolve_k(cfg: configparser.ConfigParser, section: str, flag_value) -> int:
-    k = _cfg_get(cfg, section, "k", flag_value, DEFAULT_K, int)
-    if k < 1:
-        raise ValidationError(f"{section}.k must be at least 1, got {k}")
-    return k
 
 
 def _vector(values: tuple[float, ...], k: int, what: str) -> np.ndarray:
@@ -198,7 +226,7 @@ def cmd_simulate(args) -> int:
     scenario = str(_cfg_get(cfg, "simulate", "scenario", args.scenario, "mvn")).lower()
     if scenario not in SCENARIOS:
         raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-    k = _resolve_k(cfg, "simulate", args.k)
+    k = _cfg_get(cfg, "simulate", "k", args.k, DEFAULT_K, int, at_least=1)
     t0 = _cfg_get(cfg, "simulate", "t", args.t, DEFAULT_T0, int)
     seed = _resolve_seed(cfg, "simulate", args.seed)
     start_raw = str(_cfg_get(cfg, "simulate", "start_date", args.start_date, DEFAULT_START_DATE))
@@ -286,7 +314,7 @@ def _scenario_request(inputs, rep: int) -> SimRequest:
                       seed=replication_seed(inputs["seed"], rep), params=inputs["params"])
 
 
-def _resolve_backtest_inputs(cfg, args, command: str):
+def _resolve_backtest_inputs(cfg, args, section: str):
     """Shared backtest/estimate input resolution; validates before computing.
 
     The fitting modules are imported here and not at module level, so
@@ -297,7 +325,6 @@ def _resolve_backtest_inputs(cfg, args, command: str):
     from .backtest import RollingConfig
     from .estimators import parse_methods
 
-    section = command
     input_path = _cfg_get(cfg, section, "input", args.input, None)
     scenario = _cfg_get(cfg, section, "scenario", args.scenario, None)
     if input_path is not None and scenario is not None:
@@ -314,16 +341,8 @@ def _resolve_backtest_inputs(cfg, args, command: str):
         raise ValidationError(f"{section}.levels repeat {', '.join(repeated)} "
                               "(levels are printed with 12 significant digits)")
 
-    method_specs = args.method or None
-    if method_specs is None and cfg.has_option(section, "methods"):
-        method_specs = cfg.get(section, "methods").split()
-    if method_specs is None:
-        method_specs = DEFAULT_METHODS
-    nr = _cfg_get(cfg, section, "nr", args.nr, 4, int)
-    h = _cfg_get(cfg, section, "h", args.h, 2.0, float)
-    l = _cfg_get(cfg, section, "l", args.l, 0.0, float)
-    r0 = _cfg_get(cfg, section, "r0", args.r0, None, float)
-    methods = tuple(parse_methods(method_specs, nr=nr, h=h, l=l, r0=r0))
+    methods = tuple(parse_methods(
+        args.method or cfg.get(section, "methods", fallback=" ".join(DEFAULT_METHODS)).split()))
 
     seed = _resolve_seed(cfg, section, args.seed)
     mode = str(_cfg_get(cfg, section, "mode", args.mode, "returns"))
@@ -340,7 +359,7 @@ def _resolve_backtest_inputs(cfg, args, command: str):
         scenario = str(scenario).lower()
         if scenario not in SCENARIOS:
             raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-        k = _resolve_k(cfg, section, args.k)
+        k = _cfg_get(cfg, section, "k", args.k, DEFAULT_K, int, at_least=1)
         t0 = _cfg_get(cfg, section, "t", args.t, DEFAULT_T0, int)
         asset_ids = tuple(f"A{i + 1}" for i in range(k))
         params = _scenario_params(cfg, scenario, k)
@@ -373,12 +392,9 @@ def cmd_backtest(args) -> int:
     out = _cfg_get(cfg, "backtest", "out", args.out, None)
     if out is None:
         raise ValidationError("backtest needs an output directory (--out)")
-    jobs = _cfg_get(cfg, "backtest", "jobs", args.jobs, 1, int)
-    if jobs < 1:
-        raise ValidationError(f"backtest.jobs must be at least 1, got {jobs}")
-    replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int)
-    if replications < 1:
-        raise ValidationError(f"backtest.replications must be at least 1, got {replications}")
+    jobs = _cfg_get(cfg, "backtest", "jobs", args.jobs, 1, int, at_least=1)
+    replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int,
+                            at_least=1)
 
     if inputs["history"] is not None:
         if replications != 1:
@@ -485,7 +501,8 @@ def cmd_estimate(args) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override file values")
+    p.add_argument("--config", help="INI config file; flags override file values, and an unknown "
+                   "section or key exits 2")
     p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then {DEFAULT_SEED})")
     p.add_argument("--out", help="output path")
 
@@ -500,32 +517,32 @@ def _add_estimation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--method",
         action="append",
-        help="estimator spec: vs(n_r,h,l[,r0]), eb[(d0,r0)], or sample; repeatable",
+        help="estimator spec, repeatable: vs(n_r,h,l[,r0]) (bare vs = vs(4,2,0)), "
+             "eb[(d0,r0)] or sample; d0 and r0 default to the window length",
     )
-    p.add_argument("--nr", type=int, help="short window for bare 'vs' (default 4)")
-    p.add_argument("--h", type=float, help="high-volatility exponent for bare 'vs' (default 2)")
-    p.add_argument("--l", type=float, help="low-volatility exponent for bare 'vs' (default 0)")
-    p.add_argument("--r0", type=float, help="prior mean precision override (default: window length)")
     p.add_argument("--mode", choices=("returns", "prices"), help="input CSV interpretation")
     p.add_argument("--weights", help="'equal' or a CSV of asset,weight rows (default equal)")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviated flags: each flag has one spelling, and --h is not read as --help.
     parser = argparse.ArgumentParser(
         prog="riskbench",
         description="Portfolio VaR/CVaR estimation, scenario simulation, and Basel backtesting.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"riskbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="generate a synthetic return CSV")
+    p_sim = sub.add_parser("simulate", help="generate a synthetic return CSV", allow_abbrev=False)
     _add_common_flags(p_sim)
     p_sim.add_argument("--scenario", choices=SCENARIOS, help="generator (default mvn)")
     p_sim.add_argument("--k", type=int, help=f"number of assets (default {DEFAULT_K})")
     p_sim.add_argument("--t", type=int, help=f"path length in days (default {DEFAULT_T0})")
     p_sim.add_argument("--start-date", help=f"first output date (default {DEFAULT_START_DATE})")
 
-    p_back = sub.add_parser("backtest", help="rolling backtest with traffic-light reports")
+    p_back = sub.add_parser("backtest", help="rolling backtest with traffic-light reports",
+                            allow_abbrev=False)
     _add_common_flags(p_back)
     _add_estimation_flags(p_back)
     p_back.add_argument("--replications", type=int, help="number of simulated replications (default 1)")
@@ -537,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
              "together, divided by its replications",
     )
 
-    p_est = sub.add_parser("estimate", help="export daily -VaR/-CVaR series")
+    p_est = sub.add_parser("estimate", help="export daily -VaR/-CVaR series", allow_abbrev=False)
     _add_common_flags(p_est)
     _add_estimation_flags(p_est)
 

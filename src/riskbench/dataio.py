@@ -8,6 +8,7 @@ output uses 12 significant digits, and non-finite values are refused.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import functools
@@ -48,6 +49,17 @@ def fmt_number(x: float) -> str:
     return f"{x:.12g}"
 
 
+@contextlib.contextmanager
+def _utf8_csv(path, encoding: str = "utf-8"):
+    """A CSV reader over the text file ``path``; bytes that are not UTF-8
+    raise :class:`DataError` naming the file."""
+    try:
+        with open(path, newline="", encoding=encoding) as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: file is not UTF-8 text") from None
+
+
 def _parse_date(text: str, line_no: int) -> dt.date:
     try:
         return dt.date.fromisoformat(text.strip())
@@ -69,8 +81,7 @@ def ingest_returns(path, mode: str = "returns") -> ReturnHistory:
     cells = array("d")
     dates: list[dt.date] = []
     line_nos: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with _utf8_csv(path, "utf-8-sig") as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -299,8 +310,7 @@ def load_weights(spec: str, asset_ids) -> PortfolioWeights:
         return equal_weights(k)
     weights = {}
     first_line = {}
-    with open(spec, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _utf8_csv(spec) as reader:
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header[:2]] != ["asset", "weight"]:
             raise DataError(f"{spec}: weights header must be 'asset,weight'")

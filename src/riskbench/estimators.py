@@ -128,33 +128,29 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
 
 
 def _fmt(x: float) -> str:
-    return f"{x:g}"
+    """A label number: 12 significant digits, as levels are printed, so that
+    every label parses back to its method."""
+    return f"{x:.12g}"
 
 
 @dataclass(frozen=True)
-class VolatilitySensitive:
-    """Volatility-sensitive conjugate estimator with config (n_r, h, l)."""
-
-    n_r: int = 4
-    h: float = 2.0
-    l: float = 0.0
-    r0: float | None = None
+class VolatilitySensitive(VsConfig):
+    """Volatility-sensitive conjugate estimator; its fields are the
+    :class:`VsConfig` of the scheme, checked when it is built."""
 
     @property
     def label(self) -> str:
-        base = f"vs({self.n_r},{_fmt(self.h)},{_fmt(self.l)}"
-        return base + (f";r0={_fmt(self.r0)})" if self.r0 is not None else ")")
+        r0 = "" if self.r0 is None else f",{_fmt(self.r0)}"
+        return f"vs({self.n_r},{_fmt(self.h)},{_fmt(self.l)}{r0})"
 
     def validate(self, window: int, k: int) -> None:
-        cfg = VsConfig(n_r=self.n_r, h=self.h, l=self.l, r0=self.r0)
-        if cfg.n_r > window:
-            raise ParameterError(f"{self.label}: short window {cfg.n_r} exceeds window {window}")
+        if self.n_r > window:
+            raise ParameterError(f"{self.label}: short window {self.n_r} exceeds window {window}")
         if window < k + 2:
             raise ParameterError(f"{self.label}: window {window} must be at least k+2 = {k + 2}")
 
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
-        cfg = VsConfig(n_r=self.n_r, h=self.h, l=self.l, r0=self.r0)
-        hp, _ = vs_hyperparams(window, weights, cfg)
+        hp, _ = vs_hyperparams(window, weights, self)
         return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
@@ -252,13 +248,13 @@ class SampleNormal:
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")
 
 
-def parse_method(spec: str, nr: int = 4, h: float = 2.0, l: float = 0.0, r0: float | None = None):
+def parse_method(spec: str):
     """Parse one method spec string like ``vs(4,2,0)``, ``eb`` or ``sample``.
 
-    Bare ``vs`` picks up the supplied defaults (the CLI's --nr/--h/--l/--r0
-    flags); ``vs(n_r,h,l)`` and ``vs(n_r,h,l,r0)`` override them. ``eb``
-    accepts ``eb(d0,r0)`` where either value may be ``n`` for the window
-    length.
+    Bare ``vs`` is ``vs(4,2,0)``; ``vs(n_r,h,l)`` leaves r0 at the window
+    length and ``vs(n_r,h,l,r0)`` sets it. ``eb`` accepts ``eb(d0,r0)``
+    where either value may be ``n`` for the window length. Every method's
+    ``label`` is a spec that parses back to it.
     """
     m = _METHOD_RE.match(spec)
     if not m:
@@ -279,16 +275,13 @@ def parse_method(spec: str, nr: int = 4, h: float = 2.0, l: float = 0.0, r0: flo
     if name == "vs":
         if args and len(args) not in (3, 4):
             raise ParameterError(f"vs takes 3 or 4 arguments (n_r,h,l[,r0]), got {spec!r}")
-        if args:
-            nr = num(args[0], "n_r")
-            if not nr.is_integer():
-                raise ParameterError(f"invalid n_r {args[0]!r} in method spec {spec!r}")
-            nr = int(nr)
-            h = num(args[1], "h")
-            l = num(args[2], "l")
-            if len(args) == 4:
-                r0 = num(args[3], "r0")
-        return VolatilitySensitive(n_r=nr, h=h, l=l, r0=r0)
+        if not args:
+            return VolatilitySensitive()
+        n_r = num(args[0], "n_r")
+        if not n_r.is_integer():
+            raise ParameterError(f"invalid n_r {args[0]!r} in method spec {spec!r}")
+        r0 = num(args[3], "r0") if len(args) == 4 else None
+        return VolatilitySensitive(int(n_r), num(args[1], "h"), num(args[2], "l"), r0)
     if name == "eb":
         if len(args) > 2:
             raise ParameterError(f"eb takes at most 2 arguments (d0,r0), got {spec!r}")
@@ -302,8 +295,8 @@ def parse_method(spec: str, nr: int = 4, h: float = 2.0, l: float = 0.0, r0: flo
     raise ParameterError(f"unknown method {name!r}; expected vs, eb, or sample")
 
 
-def parse_methods(specs, nr: int = 4, h: float = 2.0, l: float = 0.0, r0: float | None = None):
-    methods = [parse_method(s, nr=nr, h=h, l=l, r0=r0) for s in specs]
+def parse_methods(specs):
+    methods = [parse_method(s) for s in specs]
     labels = [m.label for m in methods]
     if len(set(labels)) != len(labels):
         raise ParameterError(f"duplicate method labels in {labels}")

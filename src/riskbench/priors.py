@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateHyperparams, RiskEstimate, RiskMeasure
+from .conjugate import ConjugateHyperparams, RiskEstimate, RiskMeasure, _check_alpha
 from .errors import DegenerateAssetError, NumericalError, ParameterError
 from .returns import (
     PortfolioWeights,
@@ -46,9 +46,9 @@ class VsConfig:
     window length when left as None).
     """
 
-    n_r: int
-    h: float
-    l: float
+    n_r: int = 4
+    h: float = 2.0
+    l: float = 0.0
     r0: float | None = None
 
     def __post_init__(self):
@@ -182,9 +182,7 @@ def sample_method_estimate(
 ) -> RiskEstimate:
     """Plug-in frequentist baseline: normal quantile (or expected-shortfall
     factor) applied to the sample mean and covariance."""
-    alpha = float(alpha)
-    if not 0.5 < alpha < 1.0:
-        raise ParameterError(f"risk level alpha must lie in (0.5, 1), got {alpha!r}")
+    alpha = _check_alpha(alpha)
     if weights.k != window.k:
         raise ParameterError(f"weights have {weights.k} entries, window has {window.k} assets")
     measure = RiskMeasure(measure)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,3 +434,81 @@ def test_levels_are_labelled_with_12_digits(tmp_path):
     assert run_cli("estimate", "--scenario", "mvn", "--k", "2", "--t", "80", "--window", "40",
                    "--alpha", levels, "--method", "sample", "--out", str(series)) == 0
     assert read_csv(series)[0][2::2] == [f"neg_var:sample:{a}" for a in levels.split(",")]
+
+
+EXAMPLE_INI = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
+def test_example_config_runs_every_command(tmp_path):
+    for command, out in (("simulate", "r.csv"), ("backtest", "bt"), ("estimate", "e.csv")):
+        assert run_cli(command, "--config", str(EXAMPLE_INI), "--out", str(tmp_path / out)) == 0
+
+
+@pytest.mark.parametrize("command", ["backtest", "estimate"])
+@pytest.mark.parametrize("flag, value", [("--nr", "6"), ("--h", "1"), ("--l", "0.5"), ("--r0", "7")])
+def test_removed_method_flags_exit_2(tmp_path, capsys, command, flag, value):
+    # the method spec sets n_r, h, l and r0; --h is not an abbreviation of --help
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--scenario", "mvn", flag, value, "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("ini, name", [
+    ("[backtest]\nnr = 6\n", "backtest.nr"),
+    ("[estimate]\nwindw = 300\n", "estimate.windw"),
+    ("[scenario.dcc]\nvol = 0.02\n", "scenario.dcc.vol"),
+    ("[DEFAULT]\nr0 = 7\n", "DEFAULT.r0"),
+    ("[backtes]\nwindow = 300\n", "[backtes]"),
+])
+@pytest.mark.parametrize("command", ["simulate", "backtest", "estimate"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, ini, name):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(cfg), "--scenario", "mvn", "--out", str(out)) == 2
+    assert f"error: {cfg}: unknown config {'section' if '[' in name else 'key'} {name}; " \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_keys_and_keys_unused_by_the_run_are_accepted(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[DEFAULT]\nseed = 3\nk = 2\n[simulate]\nt = 300\n[backtest]\nwindow = 200\n"
+                   "[scenario.mvn]\nvol = 0.02\n")
+    data_csv = tmp_path / "r.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--scenario", "mvn", "--out",
+                   str(data_csv)) == 0
+    # backtest.k (copied from [DEFAULT]) is not read with --input
+    assert run_cli("backtest", "--config", str(cfg), "--input", str(data_csv), "--method",
+                   "sample", "--out", str(tmp_path / "bt")) == 0
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(b"[simulate]\nk = 2\n; caf\xe9\n")
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} is not UTF-8 text\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_non_utf8_input_csv_exits_3(tmp_path, capsys):
+    data_csv = tmp_path / "r.csv"
+    run_cli("simulate", "--scenario", "mvn", "--k", "2", "--t", "300", "--out", str(data_csv))
+    # past the first read buffer, so the error comes in the middle of parsing
+    data_csv.write_bytes(data_csv.read_bytes() + b"2099-01-01,0.01,0.0\xff\n")
+    capsys.readouterr()
+    assert run_cli("backtest", "--input", str(data_csv), "--method", "sample",
+                   "--out", str(tmp_path / "bt")) == 3
+    assert capsys.readouterr().err == f"data error: {data_csv}: file is not UTF-8 text\n"
+    assert not (tmp_path / "bt").exists()
+
+
+def test_non_utf8_weights_exits_3(tmp_path, capsys):
+    wpath = tmp_path / "w.csv"
+    wpath.write_bytes(b"asset,weight\nA1,0.5\nA\xe92,0.5\n")
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method",
+                   "sample", "--weights", str(wpath), "--out", str(tmp_path / "bt")) == 3
+    assert capsys.readouterr().err == f"data error: {wpath}: file is not UTF-8 text\n"
+    assert not (tmp_path / "bt").exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riskbench import (
     EmpiricalBayes,
@@ -22,7 +24,7 @@ def test_parse_method_specs():
     assert vs.label == "vs(4,2,0)"
     assert parse_method("vs(10,0.5,1.5)").label == "vs(10,0.5,1.5)"
     assert parse_method("vs(4,2,0,125)") == VolatilitySensitive(n_r=4, h=2.0, l=0.0, r0=125.0)
-    assert parse_method("vs", nr=6, h=1.0, l=0.5).label == "vs(6,1,0.5)"
+    assert parse_method("vs") == VolatilitySensitive() == vs
     assert parse_method("eb") == EmpiricalBayes()
     assert parse_method("eb(300,250)") == EmpiricalBayes(d0=300.0, r0=250.0)
     assert parse_method("eb(n,100)") == EmpiricalBayes(d0=None, r0=100.0)
@@ -38,6 +40,43 @@ def test_parse_method_errors():
             parse_method(bad)
     with pytest.raises(ParameterError):
         parse_methods(["eb", "eb"])
+
+
+def test_labels_are_specs_with_12_digits():
+    assert VolatilitySensitive(r0=7).label == "vs(4,2,0,7)"
+    assert EmpiricalBayes(d0=300.5).label == "eb(300.5,n)"
+    # %g printed both as vs(4,2,0), and parse_methods refused them as duplicates
+    close = parse_methods(["vs(4,2.0000001,0)", "vs(4,2,0)"])
+    assert [m.label for m in close] == ["vs(4,2.0000001,0)", "vs(4,2,0)"]
+
+
+def _twelve_digits(values):
+    return values.map(lambda x: float(f"{x:.12g}"))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.one_of(
+    st.builds(VolatilitySensitive,
+              n_r=st.integers(2, 10**12 - 1),
+              h=_twelve_digits(st.floats(0, allow_infinity=False)),
+              l=_twelve_digits(_FINITE),
+              r0=st.none() | _twelve_digits(st.floats(0, allow_infinity=False, exclude_min=True))),
+    st.builds(EmpiricalBayes, d0=st.none() | _twelve_digits(_FINITE),
+              r0=st.none() | _twelve_digits(_FINITE)),
+))
+def test_labels_parse_back(method):
+    assert parse_method(method.label) == method
+
+
+def test_construction_checks_the_scheme():
+    for bad in (dict(n_r=1), dict(h=-1.0), dict(h=math.inf), dict(l=math.nan), dict(r0=0.0)):
+        with pytest.raises(ParameterError):
+            VolatilitySensitive(**bad)
+    for bad in ("vs(1,2,0)", "vs(4,-1,0)", "vs(4,2,0,0)", "vs(4,2,0,-3)"):
+        with pytest.raises(ParameterError):
+            parse_method(bad)  # refused when built, before any window is known
 
 
 def test_validate_window_constraints():
