@@ -29,7 +29,6 @@ from .returns import (
     RollingMoments,
     SampleStats,
     equal_weights,
-    portfolio_return,
     rolling_moments,
     sample_stats,
     short_window_std,
@@ -77,7 +76,7 @@ _LAZY_MODULES = {
                    "parse_methods"),
     "priors": ("VolatilityDiagnostics", "VsConfig", "eb_hyperparams", "sample_method_estimate",
                "vs_hyperparams"),
-    "studentt": ("normal_es_factor", "normal_quantile", "t_pdf", "t_quantile"),
+    "studentt": ("normal_es_factor", "normal_quantile", "t_quantile"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
@@ -110,7 +109,6 @@ __all__ = [
     "short_window_std",
     "RollingMoments",
     "rolling_moments",
-    "portfolio_return",
     "equal_weights",
     # simulation
     "MvnParams",

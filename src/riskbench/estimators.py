@@ -275,13 +275,11 @@ def parse_method(spec: str):
     if name == "vs":
         if args and len(args) not in (3, 4):
             raise ParameterError(f"vs takes 3 or 4 arguments (n_r,h,l[,r0]), got {spec!r}")
-        if not args:
-            return VolatilitySensitive()
-        n_r = num(args[0], "n_r")
-        if not n_r.is_integer():
-            raise ParameterError(f"invalid n_r {args[0]!r} in method spec {spec!r}")
-        r0 = num(args[3], "r0") if len(args) == 4 else None
-        return VolatilitySensitive(int(n_r), num(args[1], "h"), num(args[2], "l"), r0)
+        values = [num(text, what) for text, what in zip(args, ("n_r", "h", "l", "r0"))]
+        try:
+            return VolatilitySensitive(*values)
+        except ParameterError as exc:  # the scheme's own check, e.g. a fractional n_r
+            raise ParameterError(f"invalid method spec {spec!r}: {exc}") from None
     if name == "eb":
         if len(args) > 2:
             raise ParameterError(f"eb takes at most 2 arguments (d0,r0), got {spec!r}")

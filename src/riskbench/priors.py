@@ -52,8 +52,10 @@ class VsConfig:
     r0: float | None = None
 
     def __post_init__(self):
-        if int(self.n_r) < 2:
-            raise ParameterError(f"short window length must be >= 2, got {self.n_r!r}")
+        if not float(self.n_r).is_integer():
+            raise ParameterError(f"short window length n_r must be a whole number, got {self.n_r!r}")
+        if self.n_r < 2:
+            raise ParameterError(f"short window length n_r must be >= 2, got {self.n_r!r}")
         if not 0 <= self.h < math.inf:
             raise ParameterError(f"high-volatility exponent h must be finite and >= 0, got {self.h!r}")
         if not math.isfinite(self.l):
@@ -86,11 +88,6 @@ class VolatilityDiagnostics:
         object.__setattr__(self, "sigma", _frozen_array(self.sigma))
         object.__setattr__(self, "sigma_r", _frozen_array(self.sigma_r))
         object.__setattr__(self, "ratio", _frozen_array(self.ratio))
-
-    @property
-    def d_matrix(self) -> np.ndarray:
-        """The diagonal rescaling matrix diag(sigma_r / sigma)."""
-        return np.diag(self.ratio)
 
 
 def vs_hyperparams(

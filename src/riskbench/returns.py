@@ -27,7 +27,6 @@ __all__ = [
     "RollingMoments",
     "rolling_moments",
     "stacked_moments",
-    "portfolio_return",
     "equal_weights",
 ]
 
@@ -328,11 +327,3 @@ def stacked_moments(histories, window: int) -> RollingMoments:
         offset += count
     return RollingMoments(histories=tuple(columns), window=window, mean=mean, cov=cov, std=std,
                           floor=floor, pivots=pivots)
-
-
-def portfolio_return(x, weights: PortfolioWeights) -> float:
-    """Weighted portfolio return ``w . x`` for a single day's return vector."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != weights.k:
-        raise DimensionError(f"return vector has {x.size} entries, weights have {weights.k}")
-    return float(weights.w @ x)

@@ -307,18 +307,29 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     path is bit-identical to drawing step by step. The recursion itself is
     sequential, with one Cholesky factorization of the correlation per step.
 
-    A step allocates no array: every buffer is made once before the loop,
-    ``h`` and ``q`` are updated in place and every ufunc writes to an output
-    array passed positionally, the cheapest form of the call. ``chol @ e`` is
-    ``chol.dot(e, tmp)``, the same BLAS ``gemv`` as ``np.matmul`` with less
-    wrapper cost. The correlation is factored by ``cholesky_lo``, the gufunc that
-    ``np.linalg.cholesky`` itself calls, without the wrapper's checks and
-    copies; on a matrix that is not positive definite it fills its output
-    with NaN instead of raising. Each expression keeps the operation order of
-    ``h = (omega + (a*e)*e) + b*h`` and
-    ``Q = (qbar_w + theta1*(z z')) + theta2*Q``; only operands of ``+`` trade
+    A step allocates no array: every buffer is made once before the loop and
+    every call writes to an output array passed positionally, the cheapest
+    form of the call. ``d d'`` and ``z z'`` are ``d[:, None].dot(d[None, :],
+    out)``: a BLAS product with an inner dimension of 1, so each entry is
+    the one rounded product ``d_i * d_j``, as in a broadcast ``multiply``.
+    ``chol @ e`` is ``chol.dot(e, tmp)``, the same BLAS ``gemv`` as
+    ``np.matmul``. The correlation is factored by ``cholesky_lo``, the gufunc
+    that ``np.linalg.cholesky`` itself calls, without the wrapper's checks
+    and copies; on a matrix that is not positive definite it fills its
+    output with NaN instead of raising.
+
+    Both recursions live in one ``(k + 1, k)`` state: rows ``0..k-1`` hold
+    ``Q`` and row ``k`` holds ``h``. Matching ``base`` (``qbar_w`` /
+    ``omega``), ``decay`` (``theta2`` / ``b``) and ``shock``
+    (``theta1*(z z')`` / ``(a*e)*e``) buffers let three calls,
+    ``shock += base``, ``state *= decay`` and ``state += shock``, advance
+    both. Each entry keeps the operation order of
+    ``Q = (qbar_w + theta1*(z z')) + theta2*Q`` and
+    ``h = (omega + (a*e)*e) + b*h``; only operands of ``+`` and ``*`` trade
     places, which is exact, so the path is bit-identical to the per-step
-    ``np.linalg.cholesky`` loop.
+    ``np.linalg.cholesky`` loop. A static correlation (``theta1 = theta2 =
+    0``) skips only the correlation and its factorization, which are the
+    only readers of ``Q``.
     """
     params: DccParams = req.params
     if not isinstance(params, DccParams):
@@ -330,15 +341,17 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
     theta1, theta2 = params.theta1, params.theta2
     static_corr = theta1 == 0.0 and theta2 == 0.0
 
-    h = omega / (1.0 - a - b)
-    q = params.qbar.copy()
-    qbar_weighted = (1.0 - theta1 - theta2) * params.qbar
-    chol = np.linalg.cholesky(params.qbar)
+    state = np.vstack((params.qbar, omega / (1.0 - a - b)))
+    base = np.vstack(((1.0 - theta1 - theta2) * params.qbar, omega))
+    decay = np.vstack((np.full((k, k), theta2), b))
+    shock = np.empty((k + 1, k))
+    q, h, zz, ae = state[:k], state[k], shock[:k], shock[k]
     q_diag = q.diagonal()
+    chol = np.linalg.cholesky(params.qbar)
     d, vol, tmp, z = (np.empty(k) for _ in range(4))
-    corr, zz = np.empty((k, k)), np.empty((k, k))
+    corr = np.empty((k, k))
     corr_diag = corr.reshape(-1)[::k + 1]
-    d_col, z_col = d[:, None], z[:, None]
+    d_col, d_row, z_col, z_row = d[:, None], d[None, :], z[:, None], z[None, :]
     multiply, divide, add, sqrt = np.multiply, np.divide, np.add, np.sqrt
     chol_dot, fill_diag, isnan = chol.dot, corr_diag.fill, math.isnan
 
@@ -347,7 +360,7 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
         for e in eps:
             if not static_corr:
                 sqrt(q_diag, d)
-                multiply(d_col, d, corr)
+                d_col.dot(d_row, corr)
                 divide(q, corr, corr)
                 fill_diag(1.0)
                 cholesky_lo(corr, chol)
@@ -356,16 +369,12 @@ def simulate_dcc(req: SimRequest) -> np.ndarray:
             sqrt(h, vol)
             chol_dot(e, tmp)
             multiply(vol, tmp, e)
-            multiply(a, e, tmp)
-            multiply(tmp, e, tmp)
-            add(omega, tmp, tmp)
-            multiply(b, h, h)
-            add(tmp, h, h)
-            if not static_corr:
-                divide(e, vol, z)
-                multiply(z_col, z, zz)
-                multiply(theta1, zz, zz)
-                add(qbar_weighted, zz, zz)
-                multiply(theta2, q, q)
-                add(zz, q, q)
+            divide(e, vol, z)
+            z_col.dot(z_row, zz)
+            multiply(theta1, zz, zz)
+            multiply(a, e, ae)
+            multiply(ae, e, ae)
+            add(shock, base, shock)
+            multiply(state, decay, state)
+            add(state, shock, state)
     return eps[DCC_BURN_IN:] + params.mu

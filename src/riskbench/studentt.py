@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegreesOfFreedomError, ParameterError
 
 __all__ = [
-    "t_pdf",
     "t_quantile",
     "t_quantiles",
     "gamma_half_ratio",
@@ -76,14 +75,6 @@ def gamma_half_ratio(x):
     if small.any():
         out[small] = [_small_gamma_half_ratio(v) for v in x[small]]
     return out
-
-
-def t_pdf(df: float, x: float) -> float:
-    """Density of the standard t-distribution."""
-    df = _check_df(df)
-    x = float(x)
-    scale = gamma_half_ratio(df / 2.0) / math.sqrt(math.pi * df)
-    return scale * math.exp(-(df + 1.0) / 2.0 * math.log1p(x * x / df))
 
 
 def t_quantile(df: float, p: float) -> float:

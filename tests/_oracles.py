@@ -16,6 +16,8 @@ import numpy as np
 from scipy import stats as sstats
 from scipy.special import betaln, stdtr
 
+from riskbench.studentt import gamma_half_ratio
+
 
 def brute_force_cov(data: np.ndarray) -> np.ndarray:
     """Double-loop unbiased sample covariance."""
@@ -63,6 +65,14 @@ def t_cdf(df: float, x: float) -> float:
     return 1.0 - tail if x > 0 else tail
 
 
+def t_pdf(df: float, x: float) -> float:
+    """Density of the standard t-distribution. Its constant is the package's
+    ``gamma_half_ratio``, the factor the CVaR kernel uses, so comparing this
+    density with scipy's holds that factor to its digits."""
+    scale = gamma_half_ratio(df / 2.0) / math.sqrt(math.pi * df)
+    return scale * math.exp(-(df + 1.0) / 2.0 * math.log1p(x * x / df))
+
+
 def posterior_predictive_samples(
     window_data: np.ndarray,
     weights: np.ndarray,
@@ -80,8 +90,10 @@ def posterior_predictive_samples(
 
     The inverse-Wishart degrees of freedom convention here is the one where
     the marginal portfolio predictive has n + d0 - 2k t-degrees of freedom;
-    scipy's parameterization absorbs a k+1 shift. Sigma is drawn by
-    :func:`inverse_wishart_draws`, which matches scipy's sampler to rounding.
+    scipy's parameterization absorbs a k+1 shift. Sigma is drawn as its
+    lower Cholesky factor ``L`` by :func:`inverse_wishart_factors`, the
+    factor of :func:`inverse_wishart_draws`, which matches scipy's sampler
+    to rounding; ``w' Sigma w`` is ``|L' w|^2``.
     """
     data = np.asarray(window_data, dtype=float)
     n, k = data.shape
@@ -99,35 +111,48 @@ def posterior_predictive_samples(
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
-        sigma = inverse_wishart_draws(scipy_df, c, m, rng)
-        chol = np.linalg.cholesky(sigma)
+        chol = inverse_wishart_factors(scipy_df, c, m, rng)
         z = rng.standard_normal((m, k))
         mu = post_mean + np.einsum("mij,mj->mi", chol, z) / np.sqrt(kappa_n)
         w_mu = mu @ weights
-        w_sigma_w = np.einsum("mij,i,j->m", sigma, weights, weights)
+        w_sigma_w = np.square(weights @ chol).sum(axis=1)
         g = rng.standard_normal(m)
         out[done:done + m] = w_mu + np.sqrt(w_sigma_w) * g
         done += m
     return out
 
 
-def inverse_wishart_draws(df: float, c: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """``m`` inverse-Wishart draws with ``df`` degrees of freedom (scipy's
-    convention) and scale ``c c'``, ``c`` lower triangular.
+def inverse_wishart_factors(df: float, c: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Lower Cholesky factors ``c inv(A)`` of ``m`` inverse-Wishart draws
+    with ``df`` degrees of freedom (scipy's convention) and scale ``c c'``,
+    ``c`` lower triangular with a positive diagonal.
 
     The Bartlett factors ``A`` come from ``rng`` in the order
     ``scipy.stats.invwishart.rvs`` draws them: the normals below the
-    diagonal, then the chi variates on it. ``inv(A)`` is the lower Cholesky
-    factor of an inverse-Wishart draw with identity scale, so each draw is
-    ``c inv(A) inv(A)' c'``, formed here for the whole batch at once where
-    scipy loops over the draws.
+    diagonal, then the chi variates on it. ``inv(A)`` is lower triangular
+    with a positive diagonal, and so is ``c inv(A)``: it is the Cholesky
+    factor of the draw ``c inv(A) inv(A)' c'``. ``inv(A)`` is found row by
+    row by forward substitution, for the whole batch at once.
     """
     k = c.shape[0]
     a = np.zeros((m, k, k))
     below, diag = np.tril_indices(k, -1), np.arange(k)
     a[:, below[0], below[1]] = rng.normal(size=(m, below[0].size))
     a[:, diag, diag] = rng.chisquare(df - k + 1 + diag, size=(m, k)) ** 0.5
-    ca = c @ np.linalg.inv(a)
+    inv = np.zeros((m, k, k))
+    for i in range(k):  # A[i, :i] inv[:i] + A[i, i] inv[i] = e_i
+        inv[:, i, i] = 1.0
+        inv[:, i, :i] -= np.einsum("mj,mjl->ml", a[:, i, :i], inv[:, :i, :i])
+        inv[:, i, :i + 1] /= a[:, i, i, None]
+    return c @ inv
+
+
+def inverse_wishart_draws(df: float, c: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+    """``m`` inverse-Wishart draws with ``df`` degrees of freedom (scipy's
+    convention) and scale ``c c'``: ``L L'`` for the factors ``L`` of
+    :func:`inverse_wishart_factors`, formed for the whole batch at once where
+    scipy loops over the draws."""
+    ca = inverse_wishart_factors(df, c, m, rng)
     return ca @ ca.transpose(0, 2, 1)
 
 

@@ -22,6 +22,8 @@ from riskbench.conjugate import PredictiveParams, _quad_form_spd
 
 from _oracles import (
     empirical_quantile_band,
+    inverse_wishart_draws,
+    inverse_wishart_factors,
     ks_two_sample,
     normal_es,
     posterior_predictive_samples,
@@ -206,6 +208,23 @@ def test_predictive_matches_posterior_sampling_oracle():
 
     closed_form = pred.location + pred.scale * rng.standard_t(pred.df, size=n_draws)
     assert ks_two_sample(oracle, closed_form) <= 0.005
+
+
+@pytest.mark.parametrize("k, df", [(1, 3.5), (2, 30.0), (5, 7.0), (5, 195.0)])
+def test_inverse_wishart_oracle_matches_scipy(k, df):
+    # the sampling oracle draws scipy's inverse-Wishart stream, as Cholesky factors
+    from scipy.stats import invwishart
+
+    rng = np.random.default_rng(k)
+    f = rng.normal(size=(k, k + 2))
+    scale = f @ f.T
+    c = np.linalg.cholesky(scale)
+    expected = invwishart.rvs(df=df, scale=scale, size=50, random_state=np.random.default_rng(77))
+    draws = inverse_wishart_draws(df, c, 50, np.random.default_rng(77))
+    np.testing.assert_allclose(draws, np.reshape(expected, (50, k, k)), rtol=1e-11, atol=0)
+    factors = inverse_wishart_factors(df, c, 50, np.random.default_rng(77))
+    assert (np.triu(factors, 1) == 0).all() and (np.diagonal(factors, axis1=1, axis2=2) > 0).all()
+    np.testing.assert_allclose(factors, np.linalg.cholesky(draws), rtol=1e-11, atol=0)
 
 
 def test_t_cdf_consistency_with_quantile():

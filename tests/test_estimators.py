@@ -25,6 +25,7 @@ def test_parse_method_specs():
     assert parse_method("vs(10,0.5,1.5)").label == "vs(10,0.5,1.5)"
     assert parse_method("vs(4,2,0,125)") == VolatilitySensitive(n_r=4, h=2.0, l=0.0, r0=125.0)
     assert parse_method("vs") == VolatilitySensitive() == vs
+    assert parse_method("vs(4.0,2,0)") == vs
     assert parse_method("eb") == EmpiricalBayes()
     assert parse_method("eb(300,250)") == EmpiricalBayes(d0=300.0, r0=250.0)
     assert parse_method("eb(n,100)") == EmpiricalBayes(d0=None, r0=100.0)
@@ -77,6 +78,8 @@ def test_construction_checks_the_scheme():
     for bad in ("vs(1,2,0)", "vs(4,-1,0)", "vs(4,2,0,0)", "vs(4,2,0,-3)"):
         with pytest.raises(ParameterError):
             parse_method(bad)  # refused when built, before any window is known
+    with pytest.raises(ParameterError, match=r"^invalid method spec 'vs\(2\.7,2,0\)': .*n_r"):
+        parse_method("vs(2.7,2,0)")  # the spec names the scheme's own check
 
 
 def test_validate_window_constraints():

@@ -79,10 +79,10 @@ PUBLIC_NAMES = [
     "ValidationError", "VolatilityDiagnostics", "VolatilitySensitive", "VsConfig", "Zone",
     "__version__", "binomial_cdf", "classify_zone", "cvar_quantile_factor", "eb_hyperparams",
     "equal_weights", "estimate_series", "hit_sequence", "normal_es_factor", "normal_quantile",
-    "parse_method", "parse_methods", "portfolio_return", "posterior_predictive",
+    "parse_method", "parse_methods", "posterior_predictive",
     "replication_seed", "risk_estimate", "rolling_forecasts", "rolling_moments", "run_backtest",
     "sample_method_estimate", "sample_stats", "short_window_std", "simulate", "simulate_dcc",
-    "simulate_mvn", "simulate_pmvn", "simulate_pmvn_detail", "t_pdf", "t_quantile",
+    "simulate_mvn", "simulate_pmvn", "simulate_pmvn_detail", "t_quantile",
     "traffic_light", "var_quantile_factor", "vs_hyperparams",
 ]
 

@@ -9,6 +9,7 @@ from riskbench import (
     PortfolioWeights,
     ReturnWindow,
     RiskMeasure,
+    VolatilitySensitive,
     VsConfig,
     eb_hyperparams,
     equal_weights,
@@ -49,6 +50,20 @@ def test_vs_config_validation():
         with pytest.raises(ParameterError):
             VsConfig(**{"n_r": 4, "h": 2, "l": 0, **bad})
     VsConfig(n_r=4, h=0, l=-1.5)  # any real l is allowed
+
+
+@pytest.mark.parametrize("cls", [VsConfig, VolatilitySensitive])
+@pytest.mark.parametrize("n_r", [2.7, math.nan, math.inf, -math.inf])
+def test_fractional_or_non_finite_n_r_is_refused(cls, n_r):
+    # int() truncated 2.7 to 2 and raised a bare ValueError on nan
+    with pytest.raises(ParameterError, match="n_r"):
+        cls(n_r=n_r)
+
+
+def test_integral_float_n_r_is_accepted():
+    assert VsConfig(n_r=4.0) == VsConfig(n_r=4)
+    assert type(VsConfig(n_r=4.0).n_r) is int
+    assert VolatilitySensitive(n_r=np.int64(6)).label == "vs(6,2,0)"
 
 
 def test_eb_hand_example():

@@ -10,7 +10,6 @@ from riskbench import (
     ReturnWindow,
     ValidationError,
     equal_weights,
-    portfolio_return,
     sample_stats,
     short_window_std,
 )
@@ -128,17 +127,6 @@ def test_short_window_std_range_errors():
     for bad in (0, 1, 6, -1):
         with pytest.raises(ParameterError):
             short_window_std(w, bad, [0.01, 0.01])
-
-
-def test_portfolio_return():
-    w = PortfolioWeights(np.array([0.3, 0.7]))
-    assert portfolio_return([0.01, 0.02], w) == pytest.approx(0.017, rel=1e-14)
-    e1 = PortfolioWeights(np.array([1.0, 0.0]))
-    assert portfolio_return([0.042, -0.5], e1) == pytest.approx(0.042, rel=1e-14)
-    half = equal_weights(2)
-    assert portfolio_return([0.02, -0.02], half) == pytest.approx(0.0, abs=1e-18)
-    with pytest.raises(DimensionError):
-        portfolio_return([0.01, 0.02, 0.03], w)
 
 
 def test_weights_validation():

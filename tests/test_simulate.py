@@ -1,5 +1,9 @@
+import configparser
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbench import (
     DccParams,
@@ -16,6 +20,7 @@ from riskbench import (
     simulate_pmvn_detail,
 )
 
+from riskbench.cli import _scenario_params
 from riskbench.simulate import DCC_BURN_IN, _request_rng
 
 from _oracles import dcc_path_per_step, ks_two_sample, pmvn_path_per_period
@@ -288,3 +293,59 @@ def test_dcc_loss_of_positive_definiteness_raises(seed):
     req = SimRequest(scenario="dcc", t0=50, k=2, seed=seed, params=params)
     with pytest.raises(NumericalError, match="^correlation recursion lost positive definiteness$"):
         simulate_dcc(req)
+
+
+def _dcc_matches_oracle_or_both_fail(req):
+    """The path equals the per-step oracle's bit for bit, or both lose
+    positive definiteness."""
+    try:
+        expected = dcc_path_per_step(req.params, _request_rng(req), req.t0, DCC_BURN_IN)
+    except np.linalg.LinAlgError:
+        with pytest.raises(NumericalError, match="^correlation recursion lost positive definiteness$"):
+            simulate_dcc(req)
+        return False
+    np.testing.assert_array_equal(simulate_dcc(req), expected)
+    return True
+
+
+_THETAS = st.one_of(
+    st.just((0.0, 0.0)),
+    # theta1 + theta2 = total < 1, split at share
+    st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0)).map(
+        lambda ts: (ts[0] * ts[1], ts[0] - ts[0] * ts[1])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), thetas=_THETAS, seed=st.integers(0, 2**64 - 1),
+       param_seed=st.integers(0, 2**32 - 1), t0=st.integers(2, 40))
+def test_dcc_matches_per_step_oracle_property(k, thetas, seed, param_seed, t0):
+    rng = np.random.default_rng(param_seed)
+    a = rng.uniform(0.0, 0.3, k)
+    params = DccParams(
+        mu=rng.normal(0.0, 1e-3, k),
+        omega=rng.uniform(1e-7, 1e-4, k),
+        a=a,
+        b=rng.uniform(0.0, 0.999 - a),
+        qbar=random_correlation(k, param_seed),
+        theta1=thetas[0],
+        theta2=thetas[1],
+    )
+    _dcc_matches_oracle_or_both_fail(SimRequest(scenario="dcc", t0=t0, k=k, seed=seed, params=params))
+
+
+@pytest.mark.parametrize("k", [20, 50])
+def test_dcc_default_cli_params_match_per_step_oracle(k):
+    params = _scenario_params(configparser.ConfigParser(), "dcc", k)
+    assert _dcc_matches_oracle_or_both_fail(SimRequest(scenario="dcc", t0=300, k=k, seed=7, params=params))
+
+
+# rho = 1 - 1e-15 loses positive definiteness on some seeds and not others
+@pytest.mark.parametrize("rho, outcomes", [(NEAR_SINGULAR_RHO, {False}), (0.999999999999999, {True, False})])
+def test_dcc_loss_of_positive_definiteness_k3(rho, outcomes):
+    params = DccParams(
+        mu=np.zeros(3), omega=[5e-6] * 3, a=[0.05] * 3, b=[0.9] * 3,
+        qbar=corr_matrix(3, rho), theta1=0.05, theta2=0.9,
+    )
+    assert {_dcc_matches_oracle_or_both_fail(SimRequest(scenario="dcc", t0=50, k=3, seed=seed, params=params))
+            for seed in range(10)} == outcomes

@@ -8,10 +8,10 @@ from scipy.integrate import quad
 from scipy.special import stdtrit
 from scipy.stats import t as student
 
-from riskbench import DegreesOfFreedomError, ParameterError, t_pdf, t_quantile
+from riskbench import DegreesOfFreedomError, ParameterError, t_quantile
 from riskbench.studentt import gamma_half_ratio, normal_es_factor, normal_quantile, t_quantiles
 
-from _oracles import normal_es, t_cdf, t_ppf_reference
+from _oracles import normal_es, t_cdf, t_pdf, t_ppf_reference
 
 
 def cauchy_quantile(p):
