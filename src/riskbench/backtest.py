@@ -9,17 +9,17 @@ and takes a stack of return histories (one for all but ``run_backtests``):
 their evaluation days, history after history, form one day axis, cut into
 memory-bounded segments that may span several histories. The moments of
 every trailing window of a segment are computed in one pass
-(:func:`stacked_moments`) and shared by all methods, and each estimator's
-``batch_estimates`` maps them to the segment's forecasts as one array
-program, once per segment. A day's forecast has the same bits however the
-histories are stacked and cut. The per-day scalar path, each estimator's
-``day_estimates`` on one :class:`ReturnWindow` at a time, is the
-reference. It runs, within each history, on exactly the days the batched
-path leaves NaN: the days where a batched check fails, and every day of an
-object that only defines ``day_estimates`` or of weights of the wrong
-length. Batched checks are stricter than the scalar ones, so the first of
-those days that raises is the method's first bad day, and the method fails
-with exactly the scalar error of it.
+(:func:`stacked_moments`) and shared by all methods; each estimator's
+``batch_predictive`` maps them to predictive ``(location, scale, df)``
+arrays, and one call prices all methods, once per segment. A day's forecast
+has the same bits however the histories are stacked and cut. The per-day
+scalar path, each estimator's ``day_estimates`` on one :class:`ReturnWindow`
+at a time, is the reference. It runs, within each history, on exactly the
+days the batched path leaves NaN: the days where a batched check fails, and
+every day of an object that only defines ``day_estimates`` or of weights of
+the wrong length. Batched checks are stricter than the scalar ones, so the
+first of those days that raises is the method's first bad day, and the
+method fails with exactly the scalar error of it.
 
 The driver hands back, per history and method, either its forecasts or the
 day and error of its first failure (day -1 for a failed precondition).
@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .conjugate import RiskEstimate, RiskMeasure
+from .conjugate import RiskEstimate, RiskMeasure, _predictive_risk
 from .errors import DimensionError, ParameterError, ValidationError
 from .returns import PortfolioWeights, ReturnWindow, stacked_moments
 
@@ -126,7 +126,9 @@ class RollingConfig:
     levels: tuple[float, ...] = (0.975, 0.99)
 
     def __post_init__(self):
-        if int(self.window) < 2:
+        if not float(self.window).is_integer():
+            raise ParameterError(f"window must be a whole number of days, got {self.window!r}")
+        if float(self.window) < 2:
             raise ParameterError(f"window must be at least 2 days, got {self.window!r}")
         levels = tuple(float(a) for a in self.levels)
         if not levels:
@@ -182,7 +184,7 @@ class _Replication:
             except (ValidationError, ArithmeticError) as exc:
                 self.values.append((-1, exc))
         self.batched = [j for j, m in enumerate(methods) if not isinstance(self.values[j], tuple)
-                        and hasattr(m, "batch_estimates") and weights.k == returns.shape[1]]
+                        and hasattr(m, "batch_predictive") and weights.k == returns.shape[1]]
         self.days = returns.shape[0] - cfg.window if self.batched else 0
 
     def finish(self, weights, cfg: RollingConfig, methods, measures, asset_ids):
@@ -197,15 +199,17 @@ class _Replication:
 def _fit_segment(pieces, weights, cfg: RollingConfig, methods, measures) -> None:
     """Fit one segment: ``pieces`` are ``(replication, start, stop)`` day
     ranges, whose moments are stacked so that each batched method runs once
-    on all of them."""
+    on all of them and one call prices all their predictives."""
     moments = stacked_moments([rep.returns[start:stop + cfg.window] for rep, start, stop in pieces],
                               cfg.window)
-    for j in sorted({j for rep, _, _ in pieces for j in rep.batched}):
-        values = methods[j].batch_estimates(moments, weights, cfg.levels, measures)
+    batched = sorted({j for rep, _, _ in pieces for j in rep.batched})
+    records = [methods[j].batch_predictive(moments, weights) for j in batched]
+    values = _predictive_risk(*map(np.concatenate, zip(*records)), cfg.levels, measures)
+    for j, method_values in zip(batched, np.split(values, len(batched))):
         offset = 0
         for rep, start, stop in pieces:
             if j in rep.batched:
-                rep.values[j][start:stop] = values[offset:offset + stop - start]
+                rep.values[j][start:stop] = method_values[offset:offset + stop - start]
             offset += stop - start
 
 
@@ -218,7 +222,7 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
     The batched days of all histories, in order, form one day axis, cut
     into segments of as many days as fit in ``_SEGMENT_BYTES``; a segment
     may span several histories. Each segment's moments are computed once
-    and shared by every method with a ``batch_estimates``, which runs once
+    and shared by every method with a ``batch_predictive``, which runs once
     per segment. A history is handed back, with the days left NaN and all
     days of the other methods priced day by day within it, as soon as its
     last segment is fitted, so no more histories are held than the current

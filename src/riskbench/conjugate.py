@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .returns import PortfolioWeights, ReturnWindow, _frozen_array, sample_stats
-from .studentt import gamma_half_ratio, t_quantile
+from .studentt import gamma_half_ratio, normal_es_factor, normal_quantile, t_quantile, t_quantiles
 
 __all__ = [
     "RiskMeasure",
@@ -237,3 +237,23 @@ def risk_estimate(
         value=-pred.location + q * pred.scale,
         method=method,
     )
+
+
+@np.errstate(all="ignore")  # NaN and infinite df give NaN t factors
+def _predictive_risk(location, scale, df, alphas, measures) -> np.ndarray:
+    """:func:`risk_estimate` of a stack of predictive records as ``(days,
+    levels, measures)``, with the normal factors where ``df`` is infinite;
+    NaN throughout a day with any NaN entry. Elementwise in the days."""
+    alphas = np.asarray(alphas, dtype=float)
+    normal = df == np.inf
+    q = t_quantiles(df, alphas)
+    q[normal] = [normal_quantile(a) for a in alphas]
+    factors = {RiskMeasure.VAR: q}
+    if RiskMeasure.CVAR in measures:
+        es = np.where(df[:, None] > 1, _t_es_factor(df[:, None], alphas, q), np.nan)
+        es[normal] = [normal_es_factor(a) for a in alphas]
+        factors[RiskMeasure.CVAR] = es
+    factors = np.stack([factors[RiskMeasure(m)] for m in measures], axis=-1)
+    out = -location[:, None, None] + factors * scale[:, None, None]
+    out[np.isnan(out).any(axis=(1, 2))] = np.nan
+    return out

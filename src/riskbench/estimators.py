@@ -3,11 +3,11 @@
 Each estimator is an immutable config with a stable ``label`` and a
 ``day_estimates`` method that fits once on a window and prices every
 requested (level, measure) pair from that single fit. That per-day method is
-the scalar reference. ``batch_estimates`` computes the same numbers for every
-evaluation day of a history at once from shared :class:`RollingMoments`. Each
-of its checks is a per-day mask, and a day that fails any of them is NaN: the
-engine prices exactly those days on the scalar path, which then decides and
-raises.
+the scalar reference. ``batch_predictive`` fits every evaluation day at once
+from shared :class:`RollingMoments` and returns its predictive ``(location,
+scale, df)`` arrays (``df`` infinite for ``sample``), for the engine to price.
+Each of its checks is a per-day mask, and a day that fails any of them is
+NaN: the engine prices those days on the scalar path, which decides.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import RiskMeasure, _t_es_factor, posterior_predictive, risk_estimate
+from .conjugate import posterior_predictive, risk_estimate
 from .errors import ParameterError
 from .priors import VsConfig, eb_hyperparams, sample_method_estimate, vs_hyperparams
 from .returns import PortfolioWeights, ReturnWindow, RollingMoments
-from .studentt import normal_es_factor, normal_quantile, t_quantiles
 
 __all__ = [
     "VolatilitySensitive",
@@ -67,12 +66,13 @@ def _location(mean: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (_padded(mean, days + (-days) % 4) @ w)[:days]
 
 
-def _risk_values(location, scale, factors, ok) -> np.ndarray:
-    """``-location + factor * scale`` as ``(days, levels, measures)``, NaN on
-    the days where ``ok`` is false."""
-    out = -location[:, None, None] + factors * scale[:, None, None]
-    out[~ok] = np.nan
-    return out
+def _predictive(moments: RollingMoments, weights: PortfolioWeights, scale_sq, df, ok=True):
+    """The ``(location, scale, df)`` of every day, NaN on the days that fail
+    ``ok``, whose ``scale_sq`` or ``df`` is not positive, or where an asset's
+    std is within ``_FLOOR_MARGIN`` of its degenerate floor."""
+    ok = ok & (scale_sq > 0) & (df > 0) & (moments.std > _FLOOR_MARGIN * moments.floor).all(axis=1)
+    return tuple(np.where(ok, x, np.nan)
+                 for x in (_location(moments.mean, weights.w), np.sqrt(scale_sq), df))
 
 
 def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, measures,
@@ -85,20 +85,21 @@ def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, 
 
 
 def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w, v_rw,
-                     r0: float, alphas, measures, ok=True) -> np.ndarray:
-    """Conjugate predictive risk for every day, with ``m0`` the window mean
-    and prior scale ``S0 = c D cov D``, ``c = (d0-k-1)(n-1)/n``.
+                     r0: float, ok=True):
+    """Conjugate predictive ``(location, scale, df)`` of every day, with
+    ``m0`` the window mean and prior scale ``S0 = c D cov D``,
+    ``c = (d0-k-1)(n-1)/n``.
 
-    The batched form of ``ConjugateHyperparams`` -> ``posterior_predictive``
-    -> ``risk_estimate``. The posterior scale matrix is ``(n-1) cov + S0``
-    (the mean-shift term vanishes because ``m0`` is the sample mean), and the
-    predictive needs only its quadratic form in ``w``:
+    The batched form of ``ConjugateHyperparams`` -> ``posterior_predictive``.
+    The posterior scale matrix is ``(n-1) cov + S0`` (the mean-shift term
+    vanishes because ``m0`` is the sample mean), and the predictive needs
+    only its quadratic form in ``w``:
     ``w'Sw = (n-1) v_w + c v_rw``, with ``v_w = w' cov w`` and
     ``v_rw = (Dw)' cov (Dw)``, the two portfolio variances that set ``d0``.
     Then ``df = n + d0 - 2k``, squared scale ``(n+r0+1)/((n+r0) df) * w'Sw``
     and location ``w' mean``. ``D`` is ``diag(sigma_r/sigma)`` for ``vs``
     and the identity for ``eb``; the caller's ``ok`` marks the days where it
-    is positive. The days that fail ``ok`` or any check here are NaN.
+    is positive. The days that fail ``ok`` or any check are NaN.
 
     ``ConjugateHyperparams`` requires ``S0`` positive definite. The relative
     pivot test on ``moments.pivots`` does not change when a matrix is
@@ -113,18 +114,7 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     df = n + d0 - 2 * k
     c = (d0 - k - 1.0) * (n - 1.0) / n
     scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * ((n - 1) * v_w + c * v_rw)
-    ok &= (df > 0) & (scale_sq > 0)
-    alphas = np.asarray(alphas, dtype=float)
-    q = t_quantiles(df, alphas)
-    factors = []
-    for measure in measures:
-        if RiskMeasure(measure) is RiskMeasure.VAR:
-            factors.append(q)
-        else:
-            ok &= df > 1
-            factors.append(_t_es_factor(df[:, None], alphas, q))
-    return _risk_values(_location(moments.mean, weights.w), np.sqrt(scale_sq),
-                        np.stack(factors, axis=-1), ok)
+    return _predictive(moments, weights, scale_sq, df, ok)
 
 
 def _fmt(x: float) -> str:
@@ -154,16 +144,13 @@ class VolatilitySensitive(VsConfig):
         return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
-    def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
-        """``day_estimates`` for every day, as ``(days, levels, measures)``,
-        NaN on the days the scalar path must decide."""
-        sigma = moments.std
-        ratio = moments.short_std(self.n_r) / sigma
-        # ratio > 0 keeps D positive definite, so S0 is when cov is
-        ok = ((sigma > _FLOOR_MARGIN * moments.floor) & (ratio > 0)).all(axis=1)
+    def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
+        """Every day's predictive ``(location, scale, df)``, NaN where the scalar path decides."""
+        ratio = moments.short_std(self.n_r) / moments.std
         v_w = _quad(moments.cov, weights.w)
         v_rw = _quad(moments.cov, ratio * weights.w)
-        ok &= v_w > 0
+        # ratio > 0 keeps D positive definite, so S0 is when cov is
+        ok = (ratio > 0).all(axis=1) & (v_w > 0)
         high = np.maximum(1.0, v_rw / v_w) ** self.h
         low = 1.0
         if self.l != 0:
@@ -172,7 +159,7 @@ class VolatilitySensitive(VsConfig):
         n, k = moments.window, weights.k
         d0 = np.maximum(k + 2.0, n * high * low)
         r0 = float(n) if self.r0 is None else float(self.r0)
-        return _conjugate_batch(moments, weights, d0, v_w, v_rw, r0, alphas, measures, ok)
+        return _conjugate_batch(moments, weights, d0, v_w, v_rw, r0, ok)
 
 
 @dataclass(frozen=True)
@@ -202,14 +189,13 @@ class EmpiricalBayes:
         return _conjugate_day(window, weights, hp, alphas, measures, self.label)
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
-    def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
-        """``day_estimates`` for every day, as ``(days, levels, measures)``,
-        NaN on the days the scalar path must decide."""
+    def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
+        """Every day's predictive ``(location, scale, df)``, NaN where the scalar path decides."""
         n = float(moments.window)
         d0 = np.full(moments.days, n if self.d0 is None else float(self.d0))
         r0 = n if self.r0 is None else float(self.r0)
         v_w = _quad(moments.cov, weights.w)
-        return _conjugate_batch(moments, weights, d0, v_w, v_w, r0, alphas, measures)
+        return _conjugate_batch(moments, weights, d0, v_w, v_w, r0)
 
 
 @dataclass(frozen=True)
@@ -232,17 +218,10 @@ class SampleNormal:
         ]
 
     @np.errstate(all="ignore")  # the days of a negative variance are masked
-    def batch_estimates(self, moments: RollingMoments, weights: PortfolioWeights, alphas, measures):
-        """``day_estimates`` for every day, as ``(days, levels, measures)``,
-        NaN on the days the scalar path must decide."""
-        variance = _quad(moments.cov, weights.w)
-        factors = np.array([
-            [normal_quantile(a) if RiskMeasure(m) is RiskMeasure.VAR else normal_es_factor(a)
-             for m in measures]
-            for a in alphas
-        ])
-        return _risk_values(_location(moments.mean, weights.w), np.sqrt(variance), factors,
-                            variance > 0)
+    def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
+        """Every day's normal ``(location, scale, inf)``, NaN where the scalar path decides."""
+        return _predictive(moments, weights, _quad(moments.cov, weights.w),
+                           np.full(moments.days, np.inf))
 
 
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")

@@ -64,17 +64,11 @@ def gamma_half_ratio(x):
     1e-15 relative of the exact ratio for x >= 0.01. The log-gamma
     difference loses digits as x grows (8e-7 relative at x = 5e8).
     """
-    if np.ndim(x) == 0:
-        x = float(x)
-        if x >= _RATIO_SERIES_MIN:
-            return float(_large_gamma_half_ratio(x))
-        return _small_gamma_half_ratio(x)
-    x = np.asarray(x, dtype=float)
-    out = _large_gamma_half_ratio(np.maximum(x, _RATIO_SERIES_MIN))
-    small = x < _RATIO_SERIES_MIN
-    if small.any():
-        out[small] = [_small_gamma_half_ratio(v) for v in x[small]]
-    return out
+    flat = np.asarray(x, dtype=float).reshape(-1)
+    out = _large_gamma_half_ratio(np.maximum(flat, _RATIO_SERIES_MIN))
+    small = flat < _RATIO_SERIES_MIN
+    out[small] = [_small_gamma_half_ratio(v) for v in flat[small]]
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
 def t_quantile(df: float, p: float) -> float:

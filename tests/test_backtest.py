@@ -175,6 +175,18 @@ def test_rolling_forecast_causality():
         np.testing.assert_array_equal(w1, w2)
 
 
+@pytest.mark.parametrize("window, message", [
+    (2.7, "window must be a whole number of days, got 2.7"),
+    (math.nan, "window must be a whole number of days, got nan"),
+    (math.inf, "window must be a whole number of days, got inf"),
+    (1, "window must be at least 2 days, got 1"),
+])
+def test_rolling_config_refuses_a_fractional_infinite_or_short_window(window, message):
+    with pytest.raises(ParameterError, match=message):
+        RollingConfig(window=window)
+    assert RollingConfig(window=2.0).window == 2
+
+
 def test_rolling_requires_history_beyond_window():
     returns = np.zeros((250, 2)) + 0.01
     cfg = RollingConfig(window=250)

@@ -323,6 +323,30 @@ def test_flat_input_column_is_named_by_its_header(tmp_path, capsys):
     assert {row[2] for row in read_csv(out / "report.csv")[1:]} == {"sample"}
 
 
+def test_constant_input_column_fails_eb_as_on_the_scalar_path(tmp_path, capsys):
+    # eb's scalar path refuses every window of 13 rows (a singular prior
+    # scale matrix); the batched engine must not score it.
+    rng = np.random.default_rng(0)
+    import datetime as dt
+
+    from riskbench.dataio import weekday_dates
+
+    lines = ["date,CONST,NOISE"]
+    for date, value in zip(weekday_dates(dt.date(2021, 1, 1), 60), rng.normal(0, 0.01, 60)):
+        lines.append(f"{date.isoformat()},0.05,{value:.10f}")
+    src = tmp_path / "const.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "bt"
+    assert run_cli("backtest", "--input", str(src), "--window", "13", "--method", "eb",
+                   "--method", "sample", "--out", str(out)) == 0
+    assert "method eb skipped: prior scale matrix is not positive definite" in capsys.readouterr().err
+    assert {row[2] for row in read_csv(out / "report.csv")[1:]} == {"sample"}
+    assert run_cli("estimate", "--input", str(src), "--window", "13", "--method", "eb",
+                   "--out", str(tmp_path / "series.csv")) == 4
+    assert "prior scale matrix is not positive definite" in capsys.readouterr().err
+    assert not (tmp_path / "series.csv").exists()
+
+
 
 @pytest.mark.parametrize("timing", [False, True])
 def test_backtest_runtime_ms_per_replication(tmp_path, timing):

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riskbench import (
@@ -30,10 +30,16 @@ from riskbench import (
 from riskbench import backtest
 from riskbench.cli import DEFAULT_METHODS
 from riskbench.cli import main as cli_main
+from riskbench.conjugate import _predictive_risk
 from riskbench.estimators import parse_methods
 
 RTOL = 1e-10
 VAR, CVAR = RiskMeasure.VAR, RiskMeasure.CVAR
+
+
+def batched_values(method, moments, weights, levels, measures):
+    """(days, levels, measures) from ``batch_predictive``, priced alone."""
+    return _predictive_risk(*method.batch_predictive(moments, weights), levels, measures)
 
 
 def scalar_values(returns, weights, window, method, levels, measures, asset_ids=None):
@@ -128,7 +134,7 @@ def engine_cases(draw):
 @given(engine_cases())
 def test_batched_matches_scalar_reference(case):
     returns, weights, window, method, levels, measures = case
-    batched = method.batch_estimates(rolling_moments(returns, window), weights, levels, measures)
+    batched = batched_values(method, rolling_moments(returns, window), weights, levels, measures)
     scalar = scalar_values(returns, weights, window, method, levels, measures)
     assert batched.shape == scalar.shape
     # Relative to the risk number, or to the return scale when a low level
@@ -141,9 +147,8 @@ def test_vs_with_full_short_window_equals_eb_bit_for_bit():
     returns = correlated_returns(2, 320, 3, shock_rows=30, shock=3.0)
     moments = rolling_moments(returns, 250)
     weights = equal_weights(3)
-    vs = VolatilitySensitive(n_r=250, h=2.0, l=1.0).batch_estimates(
-        moments, weights, (0.975, 0.99), (VAR, CVAR))
-    eb = EmpiricalBayes().batch_estimates(moments, weights, (0.975, 0.99), (VAR, CVAR))
+    vs, eb = (batched_values(method, moments, weights, (0.975, 0.99), (VAR, CVAR))
+              for method in (VolatilitySensitive(n_r=250, h=2.0, l=1.0), EmpiricalBayes()))
     np.testing.assert_array_equal(vs, eb)
 
 
@@ -271,6 +276,28 @@ def test_late_constant_column_errors_match_scalar_path():
         estimate_series(returns, weights, cfg, methods, ids)
 
 
+@pytest.mark.parametrize("columns, failing", [(1, ["eb"]), (2, ["eb", "sample"])])
+def test_constant_columns_fail_every_method_as_on_the_scalar_path(columns, failing):
+    # Column means that round one ulp off the constant in the batched moments
+    # leave variances of order 1e-35: eb's prior scale matrix and, with
+    # every column constant, the sample portfolio variance pass their
+    # batched checks there, so the floor check must catch them.
+    window = 13
+    returns = correlated_returns(10, 60, 2)
+    returns[:, :columns] = 0.05
+    weights = equal_weights(2)
+    methods = [EmpiricalBayes(), SampleNormal()]
+    cfg = RollingConfig(window=window, levels=(0.99,))
+    expected = [(m.label, scalar_first_error(returns, weights, window, m)) for m in methods]
+    expected = [(label, type(ref), str(ref)) for label, ref in expected if ref is not None]
+    assert [label for label, _, _ in expected] == failing
+    _, failures = run_backtest(returns, weights, cfg, methods)
+    assert [(label, type(exc), str(exc)) for label, exc in failures] == expected
+    [(_, error_type, message)] = expected[:1]
+    with pytest.raises(error_type, match=re.escape(message)):
+        estimate_series(returns, weights, cfg, methods)
+
+
 class CountingScalarCalls:
     """A method that counts the days priced on the scalar path."""
 
@@ -280,8 +307,8 @@ class CountingScalarCalls:
     def validate(self, window, k):
         self.method.validate(window, k)
 
-    def batch_estimates(self, moments, weights, alphas, measures):
-        return self.method.batch_estimates(moments, weights, alphas, measures)
+    def batch_predictive(self, moments, weights):
+        return self.method.batch_predictive(moments, weights)
 
     def day_estimates(self, window, weights, alphas, measures):
         self.calls += 1
@@ -302,7 +329,7 @@ def test_scalar_path_runs_only_on_the_days_left_nan():
     assert {r.method for r in reports} == {"sample"}
     moments = rolling_moments(returns, window)
     for method in methods:
-        batched = method.method.batch_estimates(moments, weights, cfg.levels, (VAR,))
+        batched = batched_values(method.method, moments, weights, cfg.levels, (VAR,))
         nan_days = np.isnan(batched).any(axis=(1, 2)).sum()
         assert method.calls <= nan_days <= 5
 
@@ -334,11 +361,16 @@ def degenerate_stretch_cases(draw):
     return returns, weights, window, method, levels, measures
 
 
+# The example's batched eb window mean of the constant column is one ulp
+# off 0.05, so its variance is 5e-35, not 0: only the floor check sends the
+# day to the scalar path, which refuses the singular prior scale matrix.
 @settings(max_examples=200, deadline=None)
 @given(degenerate_stretch_cases())
+@example((np.column_stack([np.full(14, 0.05), correlated_returns(0, 14, 1)]), equal_weights(2),
+          13, EmpiricalBayes(), (0.75,), (VAR,)))
 def test_batched_is_nan_on_every_day_the_scalar_path_raises(case):
     returns, weights, window, method, levels, measures = case
-    batched = method.batch_estimates(rolling_moments(returns, window), weights, levels, measures)
+    batched = batched_values(method, rolling_moments(returns, window), weights, levels, measures)
     for day in range(returns.shape[0] - window):
         try:
             method.day_estimates(ReturnWindow.from_matrix(returns[day:day + window]), weights,
@@ -363,8 +395,8 @@ def test_near_degenerate_days_take_the_scalar_values():
     reports, failures = run_backtest(returns, weights, cfg, [method])
     assert failures == [] and len(reports) == 2
     measures = (VAR, CVAR)
-    batched = method.batch_estimates(rolling_moments(returns, window), weights, cfg.levels,
-                                     measures)
+    batched = batched_values(method, rolling_moments(returns, window), weights, cfg.levels,
+                             measures)
     flagged = np.isnan(batched).any(axis=(1, 2))
     assert 0 < flagged.sum() < len(flagged)
     _, values = series_values(estimate_series(returns, weights, cfg, [method]))
@@ -462,11 +494,11 @@ PINNED_EXCEEDANCES = {
 
 def test_readme_backtest_fits_once_per_segment(tmp_path):
     # 20 replications of 250 days are 5,000 days: four segments of 1,248 days
-    # and one of 8 at k = 5. Each conjugate method solves its t quantiles
-    # once per segment (60 calls when each replication was fitted alone),
-    # and the two vs(4, ...) methods share one short-window std per segment
-    # (40 before).
-    import riskbench.estimators
+    # and one of 8 at k = 5. One pricing call per segment solves the t
+    # quantiles of all methods (15 calls when each conjugate method priced
+    # itself, 60 when each replication was fitted alone), and the two
+    # vs(4, ...) methods share one short-window std per segment (40 before).
+    import riskbench.conjugate
     import riskbench.returns
 
     counts = {"t_quantiles": 0, "short_std": 0}
@@ -477,15 +509,15 @@ def test_readme_backtest_fits_once_per_segment(tmp_path):
             return fn(*args)
         return wrapper
 
-    with mock.patch.object(riskbench.estimators, "t_quantiles",
-                           counting("t_quantiles", riskbench.estimators.t_quantiles)), \
+    with mock.patch.object(riskbench.conjugate, "t_quantiles",
+                           counting("t_quantiles", riskbench.conjugate.t_quantiles)), \
             mock.patch.object(riskbench.returns, "_short_stds",
                               counting("short_std", riskbench.returns._short_stds)):
         assert cli_main(["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500",
                          "--window", "250", "--alpha", "0.975,0.99", "--replications", "20",
                          *(f"--method={m}" for m in DEFAULT_METHODS), "--seed", "0",
                          "--out", str(tmp_path)]) == 0
-    assert counts == {"t_quantiles": 15, "short_std": 5}
+    assert counts == {"t_quantiles": 5, "short_std": 5}
 
 
 def test_pinned_exceedance_counts(tmp_path):
@@ -561,6 +593,22 @@ def test_stacked_replications_match_each_fitted_alone(case):
     assert stacked_reports == reports
 
 
+@settings(max_examples=60, deadline=None)
+@given(stacking_cases(), st.data())
+def test_a_method_prices_alike_alone_and_with_other_methods(case, data):
+    # A segment prices the records of all its methods in one call, so a
+    # method's bits must not depend on the others or on its slot.
+    histories, weights, cfg, _ = case
+    methods = data.draw(st.permutations(parse_methods(DEFAULT_METHODS) + [
+        VolatilitySensitive(3, 1.5, 1.0), EmpiricalBayes(d0=30.0)]))
+    levels = data.draw(st.lists(st.floats(0.51, 0.9999), min_size=1, max_size=3))
+    moments = backtest.stacked_moments(histories, cfg.window)
+    records = [m.batch_predictive(moments, weights) for m in methods]
+    together = _predictive_risk(*map(np.concatenate, zip(*records)), levels, (VAR, CVAR))
+    for record, slot in zip(records, np.split(together, len(methods))):
+        assert slot.tobytes() == _predictive_risk(*record, levels, (VAR, CVAR)).tobytes()
+
+
 def test_stacking_cases_reach_the_scalar_path_and_outright_failures():
     # The two special kinds of replication that stacking_cases draws.
     window, k = 20, 3
@@ -571,6 +619,6 @@ def test_stacking_cases_reach_the_scalar_path_and_outright_failures():
     counting = [CountingScalarCalls(m) for m in parse_methods(DEFAULT_METHODS)]
     [(_, failures)] = backtest.run_backtests([near_floor], equal_weights(k), cfg, counting)
     assert failures == []
-    assert [m.calls > 0 for m in counting] == [True, True, False, False]
+    assert [m.calls > 0 for m in counting] == [True, True, True, True]
     [(_, failures)] = backtest.run_backtests([flat], equal_weights(k), cfg, counting)
     assert [label for label, _ in failures] == ["vs(4,2,0)", "vs(4,0,0)", "eb"]

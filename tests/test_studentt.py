@@ -136,6 +136,20 @@ def test_gamma_half_ratio_pinned_values():
 
 
 @settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(math.log(1e-3), math.log(1e13)).map(math.exp),
+                          st.integers(1, 800).map(lambda i: i / 2.0),
+                          st.just(150.0)), min_size=1, max_size=5))
+def test_gamma_half_ratio_scalar_is_its_array_element(xs):
+    # The scalar CVaR factor takes the scalar ratio; it must keep the bits
+    # of the batched engine's array ratio.
+    whole = gamma_half_ratio(np.array(xs))
+    for x, element in zip(xs, whole):
+        ratio = gamma_half_ratio(x)
+        assert type(ratio) is float
+        assert np.float64(ratio).tobytes() == element.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     log_df=st.floats(math.log(4.0), math.log(1e12)),
     alphas=st.lists(st.floats(0.51, 0.9999), min_size=1, max_size=4),
