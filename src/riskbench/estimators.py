@@ -33,46 +33,29 @@ __all__ = [
 
 # Batched checks are stricter than the scalar ones, so that rounding
 # differences between the two paths cannot hide a scalar error: a std within
-# this factor of the degenerate floor, or a Cholesky pivot whose square is
-# below this fraction of its diagonal entry, sends that day to the scalar
-# path, which then decides.
+# this factor of the degenerate floor (for ``sample``, a portfolio std within
+# it of the weighted floor), or a Cholesky pivot whose square is below this
+# fraction of its diagonal entry, sends that day to the scalar path, which
+# then decides.
 _FLOOR_MARGIN = 2.0
 _PIVOT_RTOL = 1e-8
 
 
-# A day's numbers must not depend on where it falls in a stack of days, but
-# two of the engine's reductions round by position: einsum sums a lone
-# matrix in another order than a stack of them, and BLAS gemv takes rows four
-# at a time and rounds the last ``days % 4`` rows (a lone row goes through a
-# dot product) another way. Both get copies of their last row appended.
-def _padded(a: np.ndarray, rows: int) -> np.ndarray:
-    """``a`` with copies of its last row appended up to ``rows`` rows."""
-    return a if len(a) >= rows else np.concatenate([a, np.repeat(a[-1:], rows - len(a), axis=0)])
-
-
 def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``w' M w`` for each matrix of a ``(days, k, k)`` stack, with ``w`` one
-    weight vector or one per day. One summation order for both, so equal
-    weights give equal bits."""
-    days = len(mats)
-    if w.ndim > 1:
-        w = _padded(w, 2)
-    return np.einsum("...i,...ij,...j->...", w, _padded(mats, 2), w)[:days]
+    weight vector or one per day, as products summed over each day's own
+    rows: its bits depend neither on the other days nor on whether ``w`` is
+    shared."""
+    return ((mats * w[..., None, :]).sum(axis=-1) * w).sum(axis=-1)
 
 
-def _location(mean: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w' mean`` for each day of a ``(days, k)`` stack of means."""
-    days = len(mean)
-    return (_padded(mean, days + (-days) % 4) @ w)[:days]
-
-
-def _predictive(moments: RollingMoments, weights: PortfolioWeights, scale_sq, df, ok=True):
+def _predictive(moments: RollingMoments, weights: PortfolioWeights, scale_sq, df, ok):
     """The ``(location, scale, df)`` of every day, NaN on the days that fail
-    ``ok``, whose ``scale_sq`` or ``df`` is not positive, or where an asset's
-    std is within ``_FLOOR_MARGIN`` of its degenerate floor."""
-    ok = ok & (scale_sq > 0) & (df > 0) & (moments.std > _FLOOR_MARGIN * moments.floor).all(axis=1)
-    return tuple(np.where(ok, x, np.nan)
-                 for x in (_location(moments.mean, weights.w), np.sqrt(scale_sq), df))
+    ``ok`` or whose ``scale_sq`` or ``df`` is not positive. The location
+    ``w' mean`` is summed over each day's own row, as in :func:`_quad`."""
+    ok = ok & (scale_sq > 0) & (df > 0)
+    location = (moments.mean * weights.w).sum(axis=1)
+    return tuple(np.where(ok, x, np.nan) for x in (location, np.sqrt(scale_sq), df))
 
 
 def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, measures,
@@ -99,7 +82,7 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     Then ``df = n + d0 - 2k``, squared scale ``(n+r0+1)/((n+r0) df) * w'Sw``
     and location ``w' mean``. ``D`` is ``diag(sigma_r/sigma)`` for ``vs``
     and the identity for ``eb``; the caller's ``ok`` marks the days where it
-    is positive. The days that fail ``ok`` or any check are NaN.
+    is positive. The days that fail ``ok``, the pivot or the floor check are NaN.
 
     ``ConjugateHyperparams`` requires ``S0`` positive definite. The relative
     pivot test on ``moments.pivots`` does not change when a matrix is
@@ -110,7 +93,8 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     """
     n, k = moments.window, weights.k
     diag = np.diagonal(moments.cov, axis1=1, axis2=2)
-    ok = ok & (moments.pivots * moments.pivots > _PIVOT_RTOL * diag).all(axis=1)
+    ok = (ok & (moments.pivots * moments.pivots > _PIVOT_RTOL * diag).all(axis=1)
+          & (moments.std > _FLOOR_MARGIN * moments.floor).all(axis=1))
     df = n + d0 - 2 * k
     c = (d0 - k - 1.0) * (n - 1.0) / n
     scale_sq = (n + r0 + 1.0) / ((n + r0) * df) * ((n - 1) * v_w + c * v_rw)
@@ -219,9 +203,14 @@ class SampleNormal:
 
     @np.errstate(all="ignore")  # the days of a negative variance are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
-        """Every day's normal ``(location, scale, inf)``, NaN where the scalar path decides."""
-        return _predictive(moments, weights, _quad(moments.cov, weights.w),
-                           np.full(moments.days, np.inf))
+        """Every day's normal ``(location, scale, inf)``, NaN where the scalar path decides:
+        where the portfolio std is within ``_FLOOR_MARGIN`` of its rounding
+        floor ``sum |w_i| floor_i``, as the scalar path refuses only a
+        variance that is not positive."""
+        v_w = _quad(moments.cov, weights.w)
+        floor = (moments.floor * np.abs(weights.w)).sum(axis=1)
+        return _predictive(moments, weights, v_w, np.full(moments.days, np.inf),
+                           v_w > (_FLOOR_MARGIN * floor) ** 2)
 
 
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")

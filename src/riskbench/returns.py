@@ -239,12 +239,12 @@ class RollingMoments:
     Day d (0-based) of a history is the window of its rows
     ``[d, d + window)``, which forecasts row ``d + window``. ``mean`` is
     ``(days, k)``, ``cov`` the unbiased covariance ``(days, k, k)``, ``std``
-    the per-asset std about the window mean (as :func:`short_window_std`
-    with ``n_r = window``) and ``floor`` the degenerate-asset threshold on
-    it. ``pivots`` is the diagonal of each ``cov``'s Cholesky factor, NaN
-    where ``cov`` is not positive definite. ``histories`` holds each history
-    as ``k x T``. Every value of a day depends only on that day's window, so
-    a day has the same bits however the histories are cut and stacked.
+    the root of its diagonal (:func:`short_window_std` with ``n_r = window``)
+    and ``floor`` the degenerate-asset threshold on it. ``pivots`` is the
+    diagonal of each ``cov``'s Cholesky factor, NaN where ``cov`` is not
+    positive definite. ``histories`` holds each history as ``k x T``. Every
+    value of a day depends only on that day's window, so a day has the same
+    bits however the histories are cut and stacked.
     """
 
     histories: tuple[np.ndarray, ...]
@@ -287,7 +287,8 @@ def rolling_moments(returns, window: int) -> RollingMoments:
 
 def stacked_moments(histories, window: int) -> RollingMoments:
     """:func:`rolling_moments` of each of ``histories`` (each ``T x k``,
-    all with the same ``k``), stacked along the day axis."""
+    all with the same ``k``), stacked along the day axis. A centred block is
+    reduced once, by its product; the std is the root of its diagonal."""
     window = int(window)
     columns = []
     for returns in histories:
@@ -317,7 +318,7 @@ def stacked_moments(histories, window: int) -> RollingMoments:
             cc = (cc + cc.transpose(0, 2, 1)) / 2.0
             mean[block_days] = m
             cov[block_days] = cc
-            std[block_days] = np.sqrt((dev * dev).sum(axis=2) / (window - 1))
+            std[block_days] = np.sqrt(np.diagonal(cc, axis1=1, axis2=2))
             with np.errstate(invalid="ignore"):  # cholesky_lo fills a failed factor with NaN
                 factor = cholesky_lo(cc, signature="d->d")
             pivots[block_days] = np.diagonal(factor, axis1=1, axis2=2)

@@ -242,8 +242,9 @@ def simulate_mvn(req: SimRequest) -> np.ndarray:
     return params.mu + z @ chol.T
 
 
-def simulate_pmvn_detail(req: SimRequest) -> tuple[np.ndarray, list[PmvnPeriod]]:
-    """Perturbed-normal path together with the realized period schedule.
+def _pmvn_path(req: SimRequest) -> tuple[np.ndarray, list[tuple]]:
+    """Perturbed-normal path together with the realized period schedule, as
+    plain ``(start, length, regime, scales)`` tuples.
 
     Periods are sampled sequentially until the horizon is covered; a final
     period truncated by the horizon keeps its sampled regime. Scale draws are
@@ -269,7 +270,7 @@ def simulate_pmvn_detail(req: SimRequest) -> tuple[np.ndarray, list[PmvnPeriod]]
     out = np.empty((t0, k))
     scales = np.ones((t0, k))
     ones = (1.0,) * k
-    periods: list[PmvnPeriod] = []
+    periods = []
     day = 0
     while day < t0:
         length = params.period_lengths[rng.integers(len(params.period_lengths))]
@@ -283,15 +284,21 @@ def simulate_pmvn_detail(req: SimRequest) -> tuple[np.ndarray, list[PmvnPeriod]]
             scale = rng.uniform(*bounds, size=k)
             scales[day:day + m] = scale
         np.matmul(rng.standard_normal((m, k)), chol_t, out=out[day:day + m])
-        periods.append(PmvnPeriod(start=day, length=m, regime=regime, scales=tuple(scale)))
+        periods.append((day, m, regime, scale))
         day += m
     out *= scales
     out += params.base.mu
     return out, periods
 
 
+def simulate_pmvn_detail(req: SimRequest) -> tuple[np.ndarray, list[PmvnPeriod]]:
+    """Perturbed-normal path together with the realized period schedule."""
+    path, periods = _pmvn_path(req)
+    return path, [PmvnPeriod(*period[:3], tuple(period[3])) for period in periods]
+
+
 def simulate_pmvn(req: SimRequest) -> np.ndarray:
-    return simulate_pmvn_detail(req)[0]
+    return _pmvn_path(req)[0]
 
 
 def simulate_dcc(req: SimRequest) -> np.ndarray:

@@ -87,6 +87,19 @@ def test_backtest_scenario_replications_and_jobs_determinism(tmp_path):
     assert [r[0] for r in rows[1:]] == ["0", "0", "1", "1", "2", "2", "3", "3"]
 
 
+@pytest.mark.parametrize("k", [9, 12])
+def test_backtest_default_methods_are_jobs_deterministic_at_wider_k(tmp_path, k):
+    # Each worker stacks a different number of days; a day's bits must not
+    # depend on it, at k where BLAS would round a row by its position.
+    args = ["backtest", "--scenario", "pmvn", "--k", str(k), "--t", "300", "--window", "250",
+            "--replications", "6", "--seed", "11"]
+    outs = [tmp_path / f"j{jobs}" for jobs in (1, 2, 3)]
+    for jobs, out in zip((1, 2, 3), outs):
+        assert run_cli(*args, "--out", str(out), "--jobs", str(jobs)) == 0
+    for name in ("report.csv", "aggregate.json"):
+        assert len({(out / name).read_bytes() for out in outs}) == 1
+
+
 def test_backtest_input_and_scenario_conflict(tmp_path):
     code = run_cli("backtest", "--input", "x.csv", "--scenario", "mvn",
                    "--out", str(tmp_path / "o"))

@@ -14,7 +14,7 @@ from riskbench import (
     short_window_std,
 )
 
-from riskbench.returns import _sliding_absmax
+from riskbench.returns import _sliding_absmax, stacked_moments
 
 from _oracles import brute_force_cov
 
@@ -160,3 +160,61 @@ def test_sliding_absmax_equals_the_window_maximum(case):
     expected = np.array([np.abs(columns[:, d:d + window]).max(axis=1)
                          for d in range(columns.shape[1] - window + 1)]).T
     np.testing.assert_array_equal(_sliding_absmax(columns, window), expected)
+
+
+@st.composite
+def moment_histories(draw):
+    """Histories of one shape whose later rows shift in mean or scale, whose
+    one column turns constant, or whose one column is (nearly) collinear
+    with another, and a window."""
+    k = draw(st.integers(1, 6))
+    window = draw(st.integers(2, 40))
+    histories = []
+    for _ in range(draw(st.integers(1, 3))):
+        t0 = window + draw(st.integers(1, 45))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        data = rng.normal(rng.normal(0, 0.001, k), 0.01, (t0, k))
+        cut = draw(st.integers(0, t0 - 1))
+        col = draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(["mean-shift", "scale-shift", "late-constant"]
+                                    + (["collinear"] if k > 1 else [])))
+        if kind == "mean-shift":
+            data[cut:] += draw(st.sampled_from([-0.5, 0.02, 1.0]))
+        elif kind == "scale-shift":
+            data[cut:] *= draw(st.sampled_from([1e-3, 0.2, 5.0, 1e3]))
+        elif kind == "late-constant":
+            data[cut:, col] = draw(st.sampled_from([0.0, 0.0123, -0.02]))
+        else:
+            other = (col + draw(st.integers(1, k - 1))) % k
+            factor = draw(st.floats(-3.0, 3.0).filter(lambda a: a == 0 or abs(a) > 1e-3))
+            data[:, col] = (factor * data[:, other]
+                            + draw(st.sampled_from([0.0, 1e-8, 1e-6])) * rng.standard_normal(t0))
+        histories.append(data)
+    return histories, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(moment_histories())
+def test_stacked_moments_match_the_two_pass_reference(case):
+    # Entries are compared relative to their columns' stds (a constant
+    # column's std is rounding noise, held to its floor instead).
+    histories, window = case
+    moments = stacked_moments(histories, window)
+    assert moments.std.tobytes() == np.sqrt(np.diagonal(moments.cov, axis1=1, axis2=2)).tobytes()
+    day = 0
+    for data in histories:
+        for start in range(data.shape[0] - window):
+            rows = data[start:start + window]
+            win = ReturnWindow.from_matrix(rows)
+            stats = sample_stats(win)
+            std = short_window_std(win, window, stats.mean)
+            constant = (rows == rows[0]).all(axis=0)
+            assert (moments.std[day, constant] <= 2 * moments.floor[day, constant]).all()
+            live = ~constant
+            tol = 1e-12 * np.outer(std, std)
+            assert (np.abs(moments.cov[day] - stats.cov) <= tol)[np.ix_(live, live)].all()
+            assert (np.abs(moments.std[day] - std) <= 1e-12 * std)[live].all()
+            assert (np.abs(moments.mean[day] - stats.mean)
+                    <= 1e-12 * (np.abs(stats.mean) + std)).all()
+            day += 1
+    assert day == moments.days

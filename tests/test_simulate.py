@@ -277,6 +277,7 @@ def test_pmvn_matches_per_period_oracle(k, seed):
     expected, expected_periods = pmvn_path_per_period(params, _request_rng(req), req.t0)
     path, periods = simulate_pmvn_detail(req)
     np.testing.assert_array_equal(path, expected)
+    np.testing.assert_array_equal(simulate_pmvn(req), path)
     assert [(p.start, p.length, p.regime, p.scales) for p in periods] == expected_periods
     assert {p.regime for p in periods} == {"low", "normal", "high"}
 
