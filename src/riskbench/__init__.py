@@ -67,10 +67,8 @@ _LAZY_MODULES = {
         "PredictiveParams",
         "RiskEstimate",
         "RiskMeasure",
-        "cvar_quantile_factor",
         "posterior_predictive",
         "risk_estimate",
-        "var_quantile_factor",
     ),
     "estimators": ("EmpiricalBayes", "SampleNormal", "VolatilitySensitive", "parse_method",
                    "parse_methods"),

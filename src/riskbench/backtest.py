@@ -16,10 +16,11 @@ has the same bits however the histories are stacked and cut. The per-day
 scalar path, each estimator's ``day_estimates`` on one :class:`ReturnWindow`
 at a time, is the reference. It runs, within each history, on exactly the
 days the batched path leaves NaN: the days where a batched check fails, and
-every day of an object that only defines ``day_estimates`` or of weights of
-the wrong length. Batched checks are stricter than the scalar ones, so the
-first of those days that raises is the method's first bad day, and the
-method fails with exactly the scalar error of it.
+every day of an object that only defines ``day_estimates``. Batched checks
+are stricter than the scalar ones, so the first of those days that raises is
+the method's first bad day, and the method fails with exactly the scalar
+error of it. Weights of the wrong length raise one :class:`DimensionError`
+as a history is taken in.
 
 The driver hands back, per history and method, either its forecasts or the
 day and error of its first failure (day -1 for a failed precondition).
@@ -140,9 +141,14 @@ class RollingConfig:
         object.__setattr__(self, "levels", levels)
 
 
-def _as_matrix(returns) -> np.ndarray:
+def _as_matrix(returns, weights: PortfolioWeights) -> np.ndarray:
+    """``returns`` as a ``(days, assets)`` matrix whose assets match ``weights``."""
     returns = np.asarray(returns, dtype=float)
-    return returns[:, None] if returns.ndim == 1 else returns
+    returns = returns[:, None] if returns.ndim == 1 else returns
+    if returns.shape[1] != weights.k:
+        raise DimensionError(f"weights have {weights.k} entries, history has "
+                             f"{returns.shape[1]} assets")
+    return returns
 
 
 def _check_method(returns: np.ndarray, cfg: RollingConfig, method) -> None:
@@ -184,7 +190,7 @@ class _Replication:
             except (ValidationError, ArithmeticError) as exc:
                 self.values.append((-1, exc))
         self.batched = [j for j, m in enumerate(methods) if not isinstance(self.values[j], tuple)
-                        and hasattr(m, "batch_predictive") and weights.k == returns.shape[1]]
+                        and hasattr(m, "batch_predictive")]
         self.days = returns.shape[0] - cfg.window if self.batched else 0
 
     def finish(self, weights, cfg: RollingConfig, methods, measures, asset_ids):
@@ -232,7 +238,7 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
     args = (weights, cfg, methods, measures)
     pending, pieces, room = deque(), [], step
     for returns in histories:
-        rep = _Replication(_as_matrix(returns), *args)
+        rep = _Replication(_as_matrix(returns, weights), *args)
         pending.append(rep)
         day = 0
         while day < rep.days:
@@ -342,10 +348,7 @@ def traffic_light(c: int, days: int, alpha: float, method: str = "") -> Backtest
 
 def realized_portfolio_returns(returns, weights: PortfolioWeights, start_day: int) -> np.ndarray:
     """Realized portfolio returns for days start_day..T0 (1-based, inclusive)."""
-    returns = np.asarray(returns, dtype=float)
-    if returns.ndim == 1:
-        returns = returns[:, None]
-    return returns[start_day - 1:] @ weights.w
+    return _as_matrix(returns, weights)[start_day - 1:] @ weights.w
 
 
 def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,

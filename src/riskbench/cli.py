@@ -16,6 +16,7 @@ import csv
 import datetime as dt
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -110,19 +111,27 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
+def _float(raw) -> float:
+    """One finite number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {raw!r}")
+    return value
+
+
 def _floats(raw) -> tuple[float, ...]:
-    """Numbers separated by commas and/or whitespace."""
-    return tuple(float(p) for p in str(raw).replace(",", " ").split())
+    """Finite numbers separated by commas and/or whitespace."""
+    return tuple(_float(p) for p in str(raw).replace(",", " ").split())
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", _floats: "a list of numbers"}
+_KIND_NAMES = {int: "an integer", _float: "a finite number", _floats: "a list of finite numbers"}
 
 
 def _cfg_get(cfg: configparser.ConfigParser, section: str, key: str, flag_value, default,
              kind=None, at_least=None):
     """Resolution order: explicit flag, config file value, default.
 
-    ``kind`` (``int``, ``float`` or ``_floats``) converts the value; a value
+    ``kind`` (``int``, ``_float`` or ``_floats``) converts the value; a value
     it rejects, or one below ``at_least``, is a :class:`ValidationError`
     naming ``section.key``.
     """
@@ -180,18 +189,18 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
         return _cfg_get(cfg, section, key, None, default, kind)
 
     mean = _vector(get("mean", "0.0005"), k, f"{section}.mean")
-    corr = _correlation_matrix(get("correlation", "0.3", float), k)
+    corr = _correlation_matrix(get("correlation", "0.3", _float), k)
     if scenario in ("mvn", "pmvn"):
         vol = _vector(get("vol", "0.01"), k, f"{section}.vol")
-        if (vol <= 0).any():
-            raise ValidationError("vol entries must be positive")
+        if not (vol > 0).all():
+            raise ValidationError(f"{section}.vol entries must be positive")
         sigma = corr * np.outer(vol, vol)
         base = MvnParams(mu=mean, sigma=sigma)
         if scenario == "mvn":
             return base
         return PmvnParams(
             base=base,
-            period_lengths=tuple(int(v) for v in get("period_lengths", "3,4,5")),
+            period_lengths=get("period_lengths", "3,4,5"),
             regime_probs=get("regime_probs", "0.05,0.9,0.05"),
             low_scale_range=get("low_scale", "0.5,0.7"),
             high_scale_range=get("high_scale", "1.5,3.0"),
@@ -202,8 +211,8 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
         a=_vector(get("arch", "0.05"), k, f"{section}.arch"),
         b=_vector(get("garch", "0.9"), k, f"{section}.garch"),
         qbar=corr,
-        theta1=get("theta1", "0.05", float),
-        theta2=get("theta2", "0.9", float),
+        theta1=get("theta1", "0.05", _float),
+        theta2=get("theta2", "0.9", _float),
     )
 
 

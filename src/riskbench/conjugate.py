@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .returns import PortfolioWeights, ReturnWindow, _frozen_array, sample_stats
-from .studentt import gamma_half_ratio, normal_es_factor, normal_quantile, t_quantile, t_quantiles
+from .studentt import gamma_half_ratio, normal_es_factor, normal_quantile, t_quantiles
 
 __all__ = [
     "RiskMeasure",
@@ -32,8 +32,6 @@ __all__ = [
     "PredictiveParams",
     "RiskEstimate",
     "posterior_predictive",
-    "var_quantile_factor",
-    "cvar_quantile_factor",
     "risk_estimate",
 ]
 
@@ -90,7 +88,9 @@ class ConjugateHyperparams:
 
 @dataclass(frozen=True)
 class PredictiveParams:
-    """Location/scale/df triple of the predictive Student-t representation."""
+    """Location/scale/df triple of the predictive Student-t representation.
+    ``df = inf`` is its normal limit: the ``sample`` method's plug-in
+    predictive, priced with the normal factors."""
 
     location: float
     scale: float
@@ -175,30 +175,6 @@ def posterior_predictive(
     )
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.5 < alpha < 1.0:
-        raise ParameterError(f"risk level alpha must lie in (0.5, 1), got {alpha!r}")
-    return alpha
-
-
-def var_quantile_factor(df: float, alpha: float) -> float:
-    """Quantile multiplier for VaR: the alpha quantile of the t-distribution."""
-    return t_quantile(df, _check_alpha(alpha))
-
-
-def cvar_quantile_factor(df: float, alpha: float) -> float:
-    """Quantile multiplier for CVaR (tail expectation of the t-distribution).
-
-    Requires ``df > 1``; see :func:`_t_es_factor` for the formula.
-    """
-    alpha = _check_alpha(alpha)
-    df = float(df)
-    if not df > 1:
-        raise DegreesOfFreedomError(f"CVaR multiplier requires df > 1, got {df!r}")
-    return float(_t_es_factor(df, alpha, t_quantile(df, alpha)))
-
-
 def _t_es_factor(df, alpha, q):
     """CVaR multiplier of the standard t at level ``alpha``, given its alpha
     quantile ``q``; elementwise over arrays, unchecked (``df > 1``).
@@ -225,29 +201,41 @@ def risk_estimate(
     measure: RiskMeasure = RiskMeasure.VAR,
     method: str = "",
 ) -> RiskEstimate:
-    """Risk number ``-location + q_alpha * scale`` for the requested measure."""
-    measure = RiskMeasure(measure)
-    if measure is RiskMeasure.VAR:
-        q = var_quantile_factor(pred.df, alpha)
-    else:
-        q = cvar_quantile_factor(pred.df, alpha)
-    return RiskEstimate(
-        measure=measure,
-        alpha=float(alpha),
-        value=-pred.location + q * pred.scale,
-        method=method,
-    )
+    """Risk number ``-location + q_alpha * scale`` for the requested measure:
+    :func:`_risk_estimates` at one level."""
+    return _risk_estimates(pred, (alpha,), (measure,), method)[0]
+
+
+def _risk_estimates(pred: PredictiveParams, alphas, measures, method: str = "") -> list:
+    """Every ``(level, measure)`` risk estimate of one predictive,
+    level-major, from one :func:`_predictive_risk` call. Refuses, level by
+    level, a level outside (0.5, 1) and, when CVaR is asked for, ``df <= 1``."""
+    measures = [RiskMeasure(m) for m in measures]
+    for alpha in map(float, alphas):
+        if not 0.5 < alpha < 1.0:
+            raise ParameterError(f"risk level alpha must lie in (0.5, 1), got {alpha!r}")
+        if RiskMeasure.CVAR in measures and not pred.df > 1:
+            raise DegreesOfFreedomError(f"CVaR multiplier requires df > 1, got {pred.df!r}")
+    values = _predictive_risk(np.array([pred.location]), np.array([pred.scale]),
+                              np.array([pred.df]), alphas, measures)[0]
+    return [RiskEstimate(measure, float(alpha), float(value), method)
+            for alpha, row in zip(alphas, values) for measure, value in zip(measures, row)]
 
 
 @np.errstate(all="ignore")  # NaN and infinite df give NaN t factors
 def _predictive_risk(location, scale, df, alphas, measures) -> np.ndarray:
-    """:func:`risk_estimate` of a stack of predictive records as ``(days,
-    levels, measures)``, with the normal factors where ``df`` is infinite;
-    NaN throughout a day with any NaN entry. Elementwise in the days."""
+    """The one pricing step, of the batched engine and the scalar API:
+    ``-location + factor * scale`` of a stack of predictive records as
+    ``(days, levels, measures)``, with the t factors where ``df`` is finite
+    (only those days solve a t quantile) and the normal ones where it is
+    infinite; CVaR NaN where ``df <= 1``, and a day with any NaN entry NaN
+    throughout. Elementwise in the days."""
     alphas = np.asarray(alphas, dtype=float)
     normal = df == np.inf
-    q = t_quantiles(df, alphas)
+    q = np.empty((df.size, alphas.size))
     q[normal] = [normal_quantile(a) for a in alphas]
+    if not normal.all():
+        q[~normal] = t_quantiles(df[~normal], alphas)
     factors = {RiskMeasure.VAR: q}
     if RiskMeasure.CVAR in measures:
         es = np.where(df[:, None] > 1, _t_es_factor(df[:, None], alphas, q), np.nan)

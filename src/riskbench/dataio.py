@@ -330,6 +330,8 @@ def load_weights(spec: str, asset_ids) -> PortfolioWeights:
                 weights[name] = float(row[1])
             except ValueError:
                 raise DataError(f"{spec} line {line_no}: non-numeric weight {row[1]!r}") from None
+            if not math.isfinite(weights[name]):
+                raise DataError(f"{spec} line {line_no}: non-finite weight {row[1]!r}")
     missing = [a for a in asset_ids if a not in weights]
     if missing:
         raise DataError(f"{spec}: missing weights for assets {missing}")

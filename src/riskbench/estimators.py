@@ -1,9 +1,10 @@
 """Estimator objects consumed by the rolling backtest engine and the CLI.
 
 Each estimator is an immutable config with a stable ``label`` and a
-``day_estimates`` method that fits once on a window and prices every
-requested (level, measure) pair from that single fit. That per-day method is
-the scalar reference. ``batch_predictive`` fits every evaluation day at once
+``day_estimates`` method that builds its predictive once on a window and
+prices every requested (level, measure) pair from it in one call of the
+pricing step the batched engine uses. That per-day method is the scalar
+reference. ``batch_predictive`` fits every evaluation day at once
 from shared :class:`RollingMoments` and returns its predictive ``(location,
 scale, df)`` arrays (``df`` infinite for ``sample``), for the engine to price.
 Each of its checks is a per-day mask, and a day that fails any of them is
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import posterior_predictive, risk_estimate
+from .conjugate import _risk_estimates, posterior_predictive
 from .errors import ParameterError
-from .priors import VsConfig, eb_hyperparams, sample_method_estimate, vs_hyperparams
+from .priors import VsConfig, _sample_predictive, eb_hyperparams, vs_hyperparams
 from .returns import PortfolioWeights, ReturnWindow, RollingMoments
 
 __all__ = [
@@ -58,22 +59,14 @@ def _predictive(moments: RollingMoments, weights: PortfolioWeights, scale_sq, df
     return tuple(np.where(ok, x, np.nan) for x in (location, np.sqrt(scale_sq), df))
 
 
-def _conjugate_day(window: ReturnWindow, weights: PortfolioWeights, hp, alphas, measures,
-                   label: str) -> list:
-    """Conjugate predictive risk on one window, level-major: the scalar
-    reference that :func:`_conjugate_batch` reproduces for every day."""
-    pred = posterior_predictive(window, weights, hp)
-    return [risk_estimate(pred, alpha, measure, method=label)
-            for alpha in alphas for measure in measures]
-
-
 def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w, v_rw,
                      r0: float, ok=True):
     """Conjugate predictive ``(location, scale, df)`` of every day, with
     ``m0`` the window mean and prior scale ``S0 = c D cov D``,
     ``c = (d0-k-1)(n-1)/n``.
 
-    The batched form of ``ConjugateHyperparams`` -> ``posterior_predictive``.
+    The batched form of ``ConjugateHyperparams`` -> ``posterior_predictive``,
+    the predictive that each day's ``day_estimates`` prices.
     The posterior scale matrix is ``(n-1) cov + S0`` (the mean-shift term
     vanishes because ``m0`` is the sample mean), and the predictive needs
     only its quadratic form in ``w``:
@@ -125,7 +118,8 @@ class VolatilitySensitive(VsConfig):
 
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
         hp, _ = vs_hyperparams(window, weights, self)
-        return _conjugate_day(window, weights, hp, alphas, measures, self.label)
+        return _risk_estimates(posterior_predictive(window, weights, hp), alphas, measures,
+                               self.label)
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
@@ -170,7 +164,8 @@ class EmpiricalBayes:
 
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
         hp = eb_hyperparams(window, d0=self.d0, r0=self.r0)
-        return _conjugate_day(window, weights, hp, alphas, measures, self.label)
+        return _risk_estimates(posterior_predictive(window, weights, hp), alphas, measures,
+                               self.label)
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
@@ -195,11 +190,7 @@ class SampleNormal:
             raise ParameterError("sample: window must be at least 2")
 
     def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
-        return [
-            sample_method_estimate(window, weights, alpha, measure, method=self.label)
-            for alpha in alphas
-            for measure in measures
-        ]
+        return _risk_estimates(_sample_predictive(window, weights), alphas, measures, self.label)
 
     @np.errstate(all="ignore")  # the days of a negative variance are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import ConjugateHyperparams, RiskEstimate, RiskMeasure, _check_alpha
-from .errors import DegenerateAssetError, NumericalError, ParameterError
+from .conjugate import (ConjugateHyperparams, PredictiveParams, RiskEstimate, RiskMeasure,
+                        risk_estimate)
+from .errors import DegenerateAssetError, DimensionError, NumericalError, ParameterError
 from .returns import (
     PortfolioWeights,
     ReturnWindow,
@@ -25,7 +26,6 @@ from .returns import (
     sample_stats,
     short_window_std,
 )
-from .studentt import normal_es_factor, normal_quantile
 
 __all__ = [
     "VsConfig",
@@ -114,7 +114,7 @@ def vs_hyperparams(
     if n <= k:
         raise ParameterError(f"window length {n} must exceed the number of assets {k}")
     if weights.k != k:
-        raise ParameterError(f"weights have {weights.k} entries, window has {k} assets")
+        raise DimensionError(f"weights have {weights.k} entries, window has {k} assets")
 
     stats = sample_stats(window)
     # Long-window std through the same code path as the short-window std, so
@@ -170,6 +170,18 @@ def eb_hyperparams(
     return ConjugateHyperparams(m0=stats.mean, r0=r0, d0=d0, s0=s0)
 
 
+def _sample_predictive(window: ReturnWindow, weights: PortfolioWeights) -> PredictiveParams:
+    """The plug-in predictive of the ``sample`` method: the normal with the
+    portfolio's sample mean and variance, as ``df = inf``."""
+    if weights.k != window.k:
+        raise DimensionError(f"weights have {weights.k} entries, window has {window.k} assets")
+    stats = sample_stats(window)
+    variance = float(weights.w @ stats.cov @ weights.w)
+    if not variance > 0:
+        raise NumericalError("degenerate portfolio variance in sample estimator")
+    return PredictiveParams(float(weights.w @ stats.mean), math.sqrt(variance), math.inf)
+
+
 def sample_method_estimate(
     window: ReturnWindow,
     weights: PortfolioWeights,
@@ -177,16 +189,7 @@ def sample_method_estimate(
     measure: RiskMeasure = RiskMeasure.VAR,
     method: str = "sample",
 ) -> RiskEstimate:
-    """Plug-in frequentist baseline: normal quantile (or expected-shortfall
+    """Plug-in frequentist baseline: :func:`risk_estimate` of
+    :func:`_sample_predictive`, the normal quantile (or expected-shortfall
     factor) applied to the sample mean and covariance."""
-    alpha = _check_alpha(alpha)
-    if weights.k != window.k:
-        raise ParameterError(f"weights have {weights.k} entries, window has {window.k} assets")
-    measure = RiskMeasure(measure)
-    stats = sample_stats(window)
-    variance = float(weights.w @ stats.cov @ weights.w)
-    if not variance > 0:
-        raise NumericalError("degenerate portfolio variance in sample estimator")
-    q = normal_quantile(alpha) if measure is RiskMeasure.VAR else normal_es_factor(alpha)
-    value = -float(weights.w @ stats.mean) + q * math.sqrt(variance)
-    return RiskEstimate(measure=measure, alpha=alpha, value=value, method=method)
+    return risk_estimate(_sample_predictive(window, weights), alpha, measure, method)

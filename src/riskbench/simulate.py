@@ -53,10 +53,19 @@ def replication_seed(base_seed: int, replication: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _finite_vector(values, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{name} has non-finite entries")
+    return values
+
+
 def _validated_spd(sigma: np.ndarray, name: str) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {sigma.shape}")
+    if not np.isfinite(sigma).all():
+        raise ParameterError(f"{name} has non-finite entries")
     if np.abs(sigma - sigma.T).max() > 1e-10 * max(1.0, np.abs(sigma).max()):
         raise ValidationError(f"{name} is not symmetric")
     try:
@@ -74,7 +83,7 @@ class MvnParams:
     sigma: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        mu = _finite_vector(self.mu, "mean mu")
         sigma = _validated_spd(self.sigma, "covariance")
         if sigma.shape[0] != mu.size:
             raise DimensionError("mean and covariance dimensions differ")
@@ -105,20 +114,21 @@ class PmvnParams:
     high_scale_range: tuple[float, float] = (1.5, 3.0)
 
     def __post_init__(self):
-        lengths = tuple(int(m) for m in self.period_lengths)
-        if not lengths or any(m < 1 for m in lengths):
-            raise ParameterError(f"period lengths must be positive, got {lengths!r}")
+        lengths = tuple(float(m) for m in self.period_lengths)
+        if not lengths or not all(m >= 1 and m.is_integer() for m in lengths):
+            raise ParameterError(
+                f"period_lengths must be positive whole numbers, got {self.period_lengths!r}")
         probs = tuple(float(p) for p in self.regime_probs)
-        if len(probs) != 3 or any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-12:
-            raise ParameterError(f"regime probabilities must be 3 nonnegatives summing to 1, got {probs!r}")
-        for name, rng_ in (("low_scale_range", self.low_scale_range), ("high_scale_range", self.high_scale_range)):
-            lo, hi = (float(rng_[0]), float(rng_[1]))
-            if not (0 <= lo <= hi):
-                raise ParameterError(f"{name} must satisfy 0 <= low <= high, got {rng_!r}")
-        object.__setattr__(self, "period_lengths", lengths)
+        if len(probs) != 3 or not all(p >= 0 for p in probs) or not abs(sum(probs) - 1.0) <= 1e-12:
+            raise ParameterError(f"regime_probs must be 3 nonnegatives summing to 1, got {probs!r}")
+        for name in ("low_scale_range", "high_scale_range"):
+            bounds = tuple(float(x) for x in getattr(self, name))
+            if len(bounds) != 2 or not 0 <= bounds[0] <= bounds[1] < math.inf:
+                raise ParameterError(
+                    f"{name} must be two finite numbers 0 <= low <= high, got {bounds!r}")
+            object.__setattr__(self, name, bounds)
+        object.__setattr__(self, "period_lengths", tuple(int(m) for m in lengths))
         object.__setattr__(self, "regime_probs", probs)
-        object.__setattr__(self, "low_scale_range", (float(self.low_scale_range[0]), float(self.low_scale_range[1])))
-        object.__setattr__(self, "high_scale_range", (float(self.high_scale_range[0]), float(self.high_scale_range[1])))
 
     @property
     def k(self) -> int:
@@ -154,20 +164,18 @@ class DccParams:
     theta2: float
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        mu = _finite_vector(self.mu, "mean mu")
         k = mu.size
-        omega = np.asarray(self.omega, dtype=float).reshape(-1)
-        a = np.asarray(self.a, dtype=float).reshape(-1)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
+        omega, a, b = (np.asarray(v, dtype=float).reshape(-1) for v in (self.omega, self.a, self.b))
         for name, v in (("omega", omega), ("a", a), ("b", b)):
             if v.size != k:
                 raise DimensionError(f"{name} must have {k} entries, got {v.size}")
-        if (omega <= 0).any():
-            raise ParameterError("omega entries must be positive")
-        if (a < 0).any() or (b < 0).any() or (a + b >= 1).any():
+        if not ((omega > 0) & (omega < np.inf)).all():
+            raise ParameterError("omega entries must be positive and finite")
+        if not ((a >= 0) & (b >= 0) & (a + b < 1)).all():
             raise ParameterError("GARCH coefficients require a >= 0, b >= 0, a + b < 1 per asset")
         t1, t2 = float(self.theta1), float(self.theta2)
-        if t1 < 0 or t2 < 0 or t1 + t2 >= 1:
+        if not (t1 >= 0 and t2 >= 0 and t1 + t2 < 1):
             raise ParameterError(
                 f"correlation recursion requires theta1, theta2 >= 0 and theta1 + theta2 < 1, got ({t1}, {t2})"
             )

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_backtest_prices_mode(tmp_path):
     assert len(rows) == 2  # 300 return rows -> 50 evaluation days, one method/level
 
 
-def test_weights_file(tmp_path):
+def test_weights_file(tmp_path, capsys):
     data_csv = tmp_path / "r.csv"
     run_cli("simulate", "--scenario", "mvn", "--k", "2", "--t", "300",
             "--seed", "2", "--out", str(data_csv))
@@ -219,6 +220,13 @@ def test_weights_file(tmp_path):
                    "--alpha", "0.99", "--method", "sample",
                    "--weights", str(wpath), "--out", str(out)) == 0
     assert len(read_csv(out / "report.csv")) == 2
+    # a non-finite weight is a data error naming the file and line, as a bad cell is
+    for cell in ("nan", "inf", "-inf"):
+        wpath.write_text(f"asset,weight\nA1,0.8\nA2,{cell}\n")
+        assert run_cli("backtest", "--input", str(data_csv), "--window", "250", "--method",
+                       "sample", "--weights", str(wpath), "--out", str(tmp_path / cell)) == 3
+        assert f"{wpath} line 3: non-finite weight '{cell}'" in capsys.readouterr().err
+        assert not (tmp_path / cell).exists()
 
 
 def test_duplicate_weight_rows_exit_3(tmp_path, capsys):
@@ -237,15 +245,31 @@ def test_duplicate_weight_rows_exit_3(tmp_path, capsys):
     ("backtest", "[scenario.pmvn]\ncorrelation = x\n", "scenario.pmvn.correlation"),
     ("simulate", "[scenario.pmvn]\ncorrelation = x\n", "scenario.pmvn.correlation"),
     ("simulate", "[simulate]\nt = 1e3\n", "simulate.t"),
+    *(("simulate", f"[scenario.pmvn]\nperiod_lengths = {value}\n", "scenario.pmvn.period_lengths")
+      for value in ("nan", "inf", "1e400", "3,nan")),
+    ("simulate", "[scenario.pmvn]\nperiod_lengths = 3.5\n", "period_lengths"),
+    ("simulate", "[scenario.pmvn]\nlow_scale = 0.5\n", "low_scale"),
+    ("simulate", "[scenario.pmvn]\nhigh_scale = 2\n", "high_scale"),
+    ("simulate", "[scenario.pmvn]\nregime_probs = nan,0.5,0.5\n", "scenario.pmvn.regime_probs"),
+    *(("simulate", f"[scenario.{scenario}]\n{key} = {value}\n", f"scenario.{scenario}.{key}")
+      for scenario, key, value in (
+          ("mvn", "mean", "nan"), ("mvn", "vol", "inf"), ("pmvn", "mean", "-inf"),
+          ("pmvn", "vol", "nan"), ("dcc", "mean", "inf"), ("dcc", "omega", "nan"),
+          ("dcc", "arch", "nan"), ("dcc", "garch", "inf"), ("dcc", "theta1", "nan"),
+          ("dcc", "theta2", "inf"))),
+    ("backtest", "[scenario.pmvn]\nmean = nan\n", "scenario.pmvn.mean"),
 ])
 def test_bad_numeric_config_value_exits_2(tmp_path, capsys, command, ini, key):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(ini)
-    code = run_cli(command, "--config", str(cfg), "--scenario", "pmvn", "--k", "2",
-                   "--out", str(tmp_path / "o"))
+    scenario = re.match(r"\[scenario\.(\w+)\]", ini)
+    code = run_cli(command, "--config", str(cfg), "--scenario", scenario[1] if scenario else "pmvn",
+                   "--k", "2", "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
     assert code == 2
-    assert key in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("o*"))
 
 
 def test_worker_pool_capped_at_replications(tmp_path, monkeypatch):

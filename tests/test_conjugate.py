@@ -11,12 +11,10 @@ from riskbench import (
     PortfolioWeights,
     ReturnWindow,
     RiskMeasure,
-    cvar_quantile_factor,
     equal_weights,
     posterior_predictive,
     risk_estimate,
     sample_stats,
-    var_quantile_factor,
 )
 from riskbench.conjugate import PredictiveParams, _quad_form_spd
 
@@ -94,34 +92,44 @@ def test_indefinite_scale_matrix_raises_even_with_positive_quadratic_form():
         _quad_form_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([0.5, 0.5]))
 
 
+def var_factor(df, alpha):
+    """The VaR factor at ``df``: the risk number of the standard t."""
+    return risk_estimate(PredictiveParams(0.0, 1.0, df), alpha, RiskMeasure.VAR).value
+
+
+def cvar_factor(df, alpha):
+    """The CVaR factor at ``df``: the risk number of the standard t."""
+    return risk_estimate(PredictiveParams(0.0, 1.0, df), alpha, RiskMeasure.CVAR).value
+
+
 def test_var_factor_examples():
-    assert var_quantile_factor(1, 0.975) == pytest.approx(12.7062, abs=1e-4)
+    assert var_factor(1, 0.975) == pytest.approx(12.7062, abs=1e-4)
     # the t quantile approaches the normal quantile from above; at df=480 the
     # gap is about 8e-3
-    assert var_quantile_factor(480, 0.99) == pytest.approx(2.3263, abs=1e-2)
-    assert var_quantile_factor(480, 0.99) > 2.3263478740408408
+    assert var_factor(480, 0.99) == pytest.approx(2.3263, abs=1e-2)
+    assert var_factor(480, 0.99) > 2.3263478740408408
     # the median of any symmetric t is zero
     for eps in (1e-3, 1e-6, 1e-9):
-        assert 0 < var_quantile_factor(10, 0.5 + eps) < 1e-2
+        assert 0 < var_factor(10, 0.5 + eps) < 1e-2
 
 
 def test_cvar_factor_examples():
-    assert cvar_quantile_factor(1e6, 0.975) == pytest.approx(2.3378, abs=1e-3)
-    assert cvar_quantile_factor(1e6, 0.99) == pytest.approx(2.6652, abs=1e-3)
-    assert cvar_quantile_factor(1e6, 0.975) == pytest.approx(normal_es(0.975), rel=1e-3)
+    assert cvar_factor(1e6, 0.975) == pytest.approx(2.3378, abs=1e-3)
+    assert cvar_factor(1e6, 0.99) == pytest.approx(2.6652, abs=1e-3)
+    assert cvar_factor(1e6, 0.975) == pytest.approx(normal_es(0.975), rel=1e-3)
 
 
 @pytest.mark.parametrize("df", [1.5, 2, 5, 30, 480, 1e5])
 @pytest.mark.parametrize("alpha", [0.51, 0.9, 0.975, 0.99])
 def test_cvar_exceeds_var(df, alpha):
-    assert cvar_quantile_factor(df, alpha) > var_quantile_factor(df, alpha)
+    assert cvar_factor(df, alpha) > var_factor(df, alpha)
 
 
 def test_cvar_df_guard():
     with pytest.raises(DegreesOfFreedomError):
-        cvar_quantile_factor(1.0, 0.975)
+        cvar_factor(1.0, 0.975)
     with pytest.raises(DegreesOfFreedomError):
-        cvar_quantile_factor(0.5, 0.975)
+        cvar_factor(0.5, 0.975)
 
 
 def test_cvar_factor_matches_tail_integral():
@@ -130,9 +138,9 @@ def test_cvar_factor_matches_tail_integral():
     from scipy.stats import t as student
 
     for df, alpha in ((3, 0.95), (12, 0.99), (80, 0.975)):
-        q = var_quantile_factor(df, alpha)
+        q = var_factor(df, alpha)
         tail_mean, _ = quad(lambda x: x * student.pdf(x, df), q, np.inf)
-        assert cvar_quantile_factor(df, alpha) == pytest.approx(tail_mean / (1 - alpha), rel=1e-8)
+        assert cvar_factor(df, alpha) == pytest.approx(tail_mean / (1 - alpha), rel=1e-8)
 
 
 def test_risk_estimate_normal_limit_and_affine_shift():
@@ -230,4 +238,4 @@ def test_inverse_wishart_oracle_matches_scipy(k, df):
 def test_t_cdf_consistency_with_quantile():
     for df in (0.5, 1, 2, 5, 30, 1000):
         for p in (0.51, 0.9, 0.975, 0.99, 0.999):
-            assert abs(t_cdf(df, var_quantile_factor(df, p)) - p) <= 1e-9
+            assert abs(t_cdf(df, var_factor(df, p)) - p) <= 1e-9

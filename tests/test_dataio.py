@@ -254,6 +254,10 @@ def test_load_weights(tmp_path):
     missing = write(tmp_path, "asset,weight\nA,1.0\n", name="w2.csv")
     with pytest.raises(DataError, match="missing weights"):
         load_weights(str(missing), ("A", "B"))
+    for cell in ("nan", "inf", "-Infinity"):
+        bad = write(tmp_path, f"asset,weight\nA,{cell}\nB,0.7\n", name="w3.csv")
+        with pytest.raises(DataError, match=f"w3.csv line 2: non-finite weight '{cell}'$"):
+            load_weights(str(bad), ("A", "B"))
 
 
 def test_duplicate_weight_rows_rejected(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from riskbench import (
     DegenerateAssetError,
+    DimensionError,
     EmpiricalBayes,
     NumericalError,
     PortfolioWeights,
@@ -344,6 +345,23 @@ def test_a_stale_column_keeps_sample_batched():
     assert failures == [] and method.calls == 0
     assert [(r.alpha, r.days, r.exceedances) for r in reports] == [(0.975, 5000, 140),
                                                                     (0.99, 5000, 57)]
+
+
+def test_weights_of_the_wrong_length_raise_one_dimension_error():
+    # checked once as a history is taken in, before any method is fitted
+    returns = correlated_returns(3, 80, 3)
+    w4, cfg = equal_weights(4), RollingConfig(window=60)
+    methods = [CountingScalarCalls(m) for m in parse_methods(DEFAULT_METHODS)]
+    for run in (lambda: run_backtest(returns, w4, cfg, methods),
+                lambda: estimate_series(returns, w4, cfg, methods),
+                lambda: backtest.rolling_forecasts(returns, w4, cfg, methods[0]),
+                lambda: backtest.rolling_forecasts(returns, w4, cfg, methods[3]),
+                lambda: backtest.realized_portfolio_returns(returns, w4, 61)):
+        with pytest.raises(DimensionError, match="^weights have 4 entries, history has 3 assets$"):
+            run()
+    with pytest.raises(DimensionError, match="^weights have 4 entries, history has 1 assets$"):
+        backtest.rolling_forecasts(returns[:, 0], w4, cfg, methods[2])
+    assert [m.calls for m in methods] == [0, 0, 0, 0]
 
 
 @st.composite

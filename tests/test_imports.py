@@ -77,13 +77,13 @@ PUBLIC_NAMES = [
     "PredictiveParams", "ReturnWindow", "RiskEstimate", "RiskMeasure", "RiskbenchError",
     "RollingConfig", "RollingMoments", "SampleNormal", "SampleStats", "SimRequest",
     "ValidationError", "VolatilityDiagnostics", "VolatilitySensitive", "VsConfig", "Zone",
-    "__version__", "binomial_cdf", "classify_zone", "cvar_quantile_factor", "eb_hyperparams",
+    "__version__", "binomial_cdf", "classify_zone", "eb_hyperparams",
     "equal_weights", "estimate_series", "hit_sequence", "normal_es_factor", "normal_quantile",
     "parse_method", "parse_methods", "posterior_predictive",
     "replication_seed", "risk_estimate", "rolling_forecasts", "rolling_moments", "run_backtest",
     "sample_method_estimate", "sample_stats", "short_window_std", "simulate", "simulate_dcc",
     "simulate_mvn", "simulate_pmvn", "simulate_pmvn_detail", "t_quantile",
-    "traffic_light", "var_quantile_factor", "vs_hyperparams",
+    "traffic_light", "vs_hyperparams",
 ]
 
 
@@ -177,7 +177,7 @@ def test_backtest_and_estimate_load_no_scipy(tmp_path):
 SCALAR_DAYS = """
     import contextlib, io, json, sys
     import numpy as np
-    import riskbench.conjugate
+    import riskbench.estimators
     from riskbench import RollingConfig, VolatilitySensitive, equal_weights, run_backtest
     from riskbench.cli import main
 
@@ -196,9 +196,10 @@ SCALAR_DAYS = """
 
     # Noise near the degenerate floor: the batched checks flag the later
     # days and the scalar reference prices them.
-    scalar_quantiles = []
-    t_quantile = riskbench.conjugate.t_quantile
-    riskbench.conjugate.t_quantile = lambda df, p: scalar_quantiles.append(p) or t_quantile(df, p)
+    scalar_days = []
+    predictive = riskbench.estimators.posterior_predictive
+    riskbench.estimators.posterior_predictive = (
+        lambda *args: scalar_days.append(args) or predictive(*args))
     returns = np.random.default_rng(9).normal(0, 0.01, (120, 3))
     floor = 60 * np.finfo(float).eps * 0.01
     scale = np.where(np.arange(120) < 60, 3.0, 1.5) * floor
@@ -208,7 +209,7 @@ SCALAR_DAYS = """
     with open("near_floor.json", "w") as fh:
         json.dump([[r.method, r.alpha, r.exceedances, r.cum_prob] for r in reports], fh)
     seen = {"flat": flat, "failures": [str(exc) for _, exc in failures],
-            "scalar days": len(scalar_quantiles) > 0}
+            "scalar days": len(scalar_days) > 0}
 """ + SCIPY_SEEN
 
 

@@ -59,6 +59,53 @@ def test_param_validation():
         SimRequest(scenario="garch", t0=100, k=2, seed=1)
 
 
+def build_params(scenario, **changes):
+    """Default params of a two-asset scenario with ``changes`` applied."""
+    if scenario == "pmvn":
+        return PmvnParams(**{"base": mvn_params(), **changes})
+    defaults = {"mvn": dict(mu=np.zeros(2), sigma=np.eye(2)),
+                "dcc": dict(mu=np.zeros(2), omega=[1e-5] * 2, a=[0.1] * 2, b=[0.8] * 2,
+                            qbar=np.eye(2), theta1=0.05, theta2=0.9)}[scenario]
+    return (MvnParams if scenario == "mvn" else DccParams)(**{**defaults, **changes})
+
+
+NAN, INF = np.nan, np.inf
+
+
+@pytest.mark.parametrize("scenario, changes, name", [
+    ("mvn", dict(mu=[0.0, NAN]), "mean mu"),
+    ("mvn", dict(mu=[0.0, INF]), "mean mu"),
+    ("mvn", dict(sigma=[[1.0, NAN], [NAN, 1.0]]), "covariance"),
+    ("mvn", dict(sigma=[[INF, 0.0], [0.0, 1.0]]), "covariance"),
+    ("pmvn", dict(period_lengths=(3.5,)), "period_lengths"),
+    ("pmvn", dict(period_lengths=(3, NAN)), "period_lengths"),
+    ("pmvn", dict(period_lengths=(INF,)), "period_lengths"),
+    ("pmvn", dict(regime_probs=(NAN, 0.5, 0.5)), "regime_probs"),
+    ("pmvn", dict(low_scale_range=(0.5,)), "low_scale_range"),
+    ("pmvn", dict(low_scale_range=(NAN, 0.7)), "low_scale_range"),
+    ("pmvn", dict(high_scale_range=(1.5, 2.0, 3.0)), "high_scale_range"),
+    ("pmvn", dict(high_scale_range=(1.5, INF)), "high_scale_range"),
+    ("dcc", dict(mu=[NAN, 0.0]), "mean mu"),
+    ("dcc", dict(omega=[NAN, 1e-5]), "omega"),
+    ("dcc", dict(omega=[INF, 1e-5]), "omega"),
+    ("dcc", dict(a=[NAN, 0.1]), "GARCH"),
+    ("dcc", dict(b=[0.8, NAN]), "GARCH"),
+    ("dcc", dict(theta1=NAN), "theta1"),
+    ("dcc", dict(theta2=NAN), "theta2"),
+    ("dcc", dict(qbar=[[1.0, NAN], [NAN, 1.0]]), "quasi-correlation"),
+])
+def test_params_refuse_non_finite_and_malformed_entries(scenario, changes, name):
+    build_params(scenario)  # the defaults are valid
+    with pytest.raises(ParameterError, match=name):
+        build_params(scenario, **changes)
+
+
+def test_integral_period_lengths_are_kept_as_ints():
+    params = PmvnParams(base=mvn_params(), period_lengths=(3.0, np.int64(4), 5))
+    assert params.period_lengths == (3, 4, 5)
+    assert all(type(m) is int for m in params.period_lengths)
+
+
 def test_determinism_bit_exact():
     params = mvn_params(3, rho=0.3)
     req = SimRequest(scenario="mvn", t0=200, k=3, seed=42, params=params)
