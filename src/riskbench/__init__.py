@@ -71,9 +71,8 @@ _LAZY_MODULES = {
         "risk_estimate",
     ),
     "estimators": ("EmpiricalBayes", "SampleNormal", "VolatilitySensitive", "parse_method",
-                   "parse_methods"),
-    "priors": ("VolatilityDiagnostics", "VsConfig", "eb_hyperparams", "sample_method_estimate",
-               "vs_hyperparams"),
+                   "parse_methods", "sample_method_estimate"),
+    "priors": ("VolatilityDiagnostics", "VsConfig", "eb_hyperparams", "vs_hyperparams"),
     "studentt": ("normal_es_factor", "normal_quantile", "t_quantile"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items() for name in names}

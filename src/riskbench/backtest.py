@@ -3,24 +3,24 @@ traffic-light classification.
 
 For every evaluation day the configured estimators are fit on the trailing
 window and priced for the next day; the realized return of a day is never
-visible to its own forecast. One driver serves ``rolling_forecasts``,
-``estimate_series``, ``run_backtest`` and ``run_backtests``. It is batched
-and takes a stack of return histories (one for all but ``run_backtests``):
-their evaluation days, history after history, form one day axis, cut into
-memory-bounded segments that may span several histories. The moments of
-every trailing window of a segment are computed in one pass
-(:func:`stacked_moments`) and shared by all methods; each estimator's
+visible to its own forecast. A method has a ``label``, ``validate(window,
+k)``, ``batch_predictive`` and ``day_predictive``. One driver serves
+``rolling_forecasts``, ``estimate_series``, ``run_backtest`` and
+``run_backtests``. It takes a stack of return histories (one for all but
+``run_backtests``): their evaluation days, history after history, form one
+day axis, cut into memory-bounded segments that may span several histories.
+The moments of every trailing window of a segment are computed in one pass
+(:func:`stacked_moments`) and shared by all methods; each method's
 ``batch_predictive`` maps them to predictive ``(location, scale, df)``
 arrays, and one call prices all methods, once per segment. A day's forecast
-has the same bits however the histories are stacked and cut. The per-day
-scalar path, each estimator's ``day_estimates`` on one :class:`ReturnWindow`
-at a time, is the reference. It runs, within each history, on exactly the
-days the batched path leaves NaN: the days where a batched check fails, and
-every day of an object that only defines ``day_estimates``. Batched checks
-are stricter than the scalar ones, so the first of those days that raises is
-the method's first bad day, and the method fails with exactly the scalar
-error of it. Weights of the wrong length raise one :class:`DimensionError`
-as a history is taken in.
+has the same bits however the histories are stacked and cut. The scalar
+path, ``day_predictive`` on one :class:`ReturnWindow` at a time, is the
+reference. It runs on the days the batched path leaves NaN, in day order,
+and one call per history and method prices them all. Batched checks are
+stricter than the scalar ones, so the first of those days that raises is the
+method's first bad day, and the method fails with exactly the scalar error
+of it. Weights of the wrong length raise one :class:`DimensionError` as a
+history is taken in.
 
 The driver hands back, per history and method, either its forecasts or the
 day and error of its first failure (day -1 for a failed precondition).
@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .conjugate import RiskEstimate, RiskMeasure, _predictive_risk
+from .conjugate import RiskEstimate, RiskMeasure, _predictive_risk, _require_cvar_df
 from .errors import DimensionError, ParameterError, ValidationError
 from .returns import PortfolioWeights, ReturnWindow, stacked_moments
 
@@ -160,24 +160,28 @@ def _check_method(returns: np.ndarray, cfg: RollingConfig, method) -> None:
 
 
 def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, out, asset_ids):
-    """Scalar reference engine: ``method.day_estimates`` on the trailing
-    window of each day that is NaN in ``out``, in day order. Returns the
-    filled ``(days, levels, measures)`` array, or the ``(day, error)`` of the
-    first such day that raises."""
-    for day in np.flatnonzero(np.isnan(out).any(axis=(1, 2))):
+    """The scalar path: ``method.day_predictive`` on the trailing window of
+    each day that is NaN in ``out``, in day order, then one pricing call for
+    all of them. Returns the filled ``(days, levels, measures)`` array, or the
+    ``(day, error)`` of the first such day that raises."""
+    days, records = np.flatnonzero(np.isnan(out).any(axis=(1, 2))), []
+    for day in days:
         try:
-            window = ReturnWindow.from_matrix(returns[day:day + cfg.window], asset_ids)
-            estimates = method.day_estimates(window, weights, cfg.levels, measures)
+            pred = method.day_predictive(
+                ReturnWindow.from_matrix(returns[day:day + cfg.window], asset_ids), weights)
+            _require_cvar_df(pred, measures)
         except (ValidationError, ArithmeticError) as exc:
             return int(day), exc
-        out[day] = np.reshape([est.value for est in estimates], out.shape[1:])
+        records.append((pred.location, pred.scale, pred.df))
+    if records:
+        out[days] = _predictive_risk(*np.transpose(records), cfg.levels, measures)
     return out
 
 
 class _Replication:
     """One history in the stack: per method a NaN ``(days, levels,
     measures)`` array to fill, or the ``(-1, error)`` of a failed
-    precondition, and the methods whose days the batched engine fits."""
+    precondition, and the methods whose preconditions hold."""
 
     def __init__(self, returns, weights, cfg: RollingConfig, methods, measures):
         self.returns = returns
@@ -189,13 +193,12 @@ class _Replication:
                                             len(measures)), np.nan))
             except (ValidationError, ArithmeticError) as exc:
                 self.values.append((-1, exc))
-        self.batched = [j for j, m in enumerate(methods) if not isinstance(self.values[j], tuple)
-                        and hasattr(m, "batch_predictive")]
+        self.batched = [j for j, values in enumerate(self.values) if not isinstance(values, tuple)]
         self.days = returns.shape[0] - cfg.window if self.batched else 0
 
     def finish(self, weights, cfg: RollingConfig, methods, measures, asset_ids):
-        """``(returns, results)``, the days the batched engine left NaN and
-        all days of the other methods priced on the scalar path."""
+        """``(returns, results)``, the days the batched engine left NaN
+        priced on the scalar path."""
         return self.returns, [
             values if isinstance(values, tuple)
             else _day_by_day(self.returns, weights, cfg, method, measures, values, asset_ids)
@@ -228,11 +231,10 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
     The batched days of all histories, in order, form one day axis, cut
     into segments of as many days as fit in ``_SEGMENT_BYTES``; a segment
     may span several histories. Each segment's moments are computed once
-    and shared by every method with a ``batch_predictive``, which runs once
-    per segment. A history is handed back, with the days left NaN and all
-    days of the other methods priced day by day within it, as soon as its
-    last segment is fitted, so no more histories are held than the current
-    segment spans.
+    and shared by every method's ``batch_predictive``, which runs once per
+    segment. A history is handed back, with the days left NaN priced on the
+    scalar path within it, as soon as its last segment is fitted, so no more
+    histories are held than the current segment spans.
     """
     step = max(1, _SEGMENT_BYTES // _day_bytes(weights.k))
     args = (weights, cfg, methods, measures)

@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -150,14 +150,16 @@ def _cfg_get(cfg: configparser.ConfigParser, section: str, key: str, flag_value,
 
 
 def _resolve_seed(cfg: configparser.ConfigParser, section: str, flag_value) -> int:
-    seed = _cfg_get(cfg, section, "seed", flag_value, None, int)
+    seed = _cfg_get(cfg, section, "seed", flag_value, None, int, at_least=0)
     if seed is not None:
         return seed
     raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
     try:
-        return int(raw)
+        if int(raw) >= 0:
+            return int(raw)
     except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
+        pass
+    raise ValidationError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
 
 
 def _vector(values: tuple[float, ...], k: int, what: str) -> np.ndarray:
@@ -176,6 +178,7 @@ def _correlation_matrix(rho: float, k: int) -> np.ndarray:
     return mat
 
 
+@np.errstate(over="ignore", invalid="ignore")  # MvnParams refuses a non-finite covariance
 def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
     """Build generator params for a scenario from its config section.
 
@@ -188,32 +191,43 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
     def get(key, default, kind=_floats):
         return _cfg_get(cfg, section, key, None, default, kind)
 
-    mean = _vector(get("mean", "0.0005"), k, f"{section}.mean")
-    corr = _correlation_matrix(get("correlation", "0.3", _float), k)
+    def vector(key, default):
+        return _vector(get(key, default), k, f"{section}.{key}")
+
+    def named(keys, build, *args, **kwargs):
+        """``build(*args, **kwargs)``, its error prefixed with the config keys it reads."""
+        try:
+            return build(*args, **kwargs)
+        except (ValidationError, NumericalError) as exc:
+            raise type(exc)(" and ".join(f"{section}.{key}" for key in keys) + f": {exc}") from None
+
+    mean = vector("mean", "0.0005")
+    corr = named(["correlation"], _correlation_matrix, get("correlation", "0.3", _float), k)
     if scenario in ("mvn", "pmvn"):
-        vol = _vector(get("vol", "0.01"), k, f"{section}.vol")
+        vol = vector("vol", "0.01")
         if not (vol > 0).all():
             raise ValidationError(f"{section}.vol entries must be positive")
-        sigma = corr * np.outer(vol, vol)
-        base = MvnParams(mu=mean, sigma=sigma)
+        base = named(["vol", "correlation"], MvnParams, mu=mean, sigma=corr * np.outer(vol, vol))
         if scenario == "mvn":
             return base
-        return PmvnParams(
-            base=base,
-            period_lengths=get("period_lengths", "3,4,5"),
-            regime_probs=get("regime_probs", "0.05,0.9,0.05"),
-            low_scale_range=get("low_scale", "0.5,0.7"),
-            high_scale_range=get("high_scale", "1.5,3.0"),
-        )
-    return DccParams(
-        mu=mean,
-        omega=_vector(get("omega", "5e-6"), k, f"{section}.omega"),
-        a=_vector(get("arch", "0.05"), k, f"{section}.arch"),
-        b=_vector(get("garch", "0.9"), k, f"{section}.garch"),
-        qbar=corr,
-        theta1=get("theta1", "0.05", _float),
-        theta2=get("theta2", "0.9", _float),
-    )
+        # Each key replaces a shipped default of a valid PmvnParams in turn, so
+        # that an error names its own key.
+        params = PmvnParams(base=base)
+        for key, field, default in (("period_lengths", "period_lengths", "3,4,5"),
+                                    ("regime_probs", "regime_probs", "0.05,0.9,0.05"),
+                                    ("low_scale", "low_scale_range", "0.5,0.7"),
+                                    ("high_scale", "high_scale_range", "1.5,3.0")):
+            params = named([key], replace, params, **{field: get(key, default)})
+        return params
+    # Likewise each group of keys joins a valid DccParams with constant
+    # variances and correlations (a = b = theta1 = theta2 = 0) in turn.
+    params = DccParams(mu=mean, omega=np.ones(k), a=np.zeros(k), b=np.zeros(k), qbar=corr,
+                       theta1=0.0, theta2=0.0)
+    params = named(["omega"], replace, params, omega=vector("omega", "5e-6"))
+    params = named(["arch", "garch"], replace, params, a=vector("arch", "0.05"),
+                   b=vector("garch", "0.9"))
+    return named(["theta1", "theta2"], replace, params, theta1=get("theta1", "0.05", _float),
+                 theta2=get("theta2", "0.9", _float))
 
 
 def _jsonable(obj):
@@ -280,13 +294,13 @@ def cmd_simulate(args) -> int:
 # backtest
 
 
-def _run_chunk(shared, chunk):
-    """Backtest every method on a chunk of consecutive replications, fitted
-    together as one stack (see :func:`riskbench.backtest.run_backtests`).
+def _run_chunk(shared, chunk: range):
+    """Backtest every method on a ``range`` of consecutive replications,
+    fitted together as one stack (see :func:`riskbench.backtest.run_backtests`).
 
-    ``shared`` is ``(weights, rolling, methods, asset_ids, timing)``;
-    ``chunk`` is a list of ``(replication, source)`` with ``source`` a return
-    matrix or a :class:`SimRequest`, simulated when the stack reaches it.
+    ``shared`` is ``(inputs, timing)``, with ``inputs`` from
+    :func:`_resolve_backtest_inputs`: each replication is the input history
+    or, for a scenario, simulated from its index when the stack reaches it.
     Returns report rows in ``REPORT_HEADER`` order and
     ``(replication, label, message)`` failures. With ``timing``, each row's
     ``runtime_ms`` is the chunk's fitting wall time (all methods and
@@ -294,23 +308,25 @@ def _run_chunk(shared, chunk):
     """
     from .backtest import run_backtests
 
-    weights, rolling, methods, asset_ids, timing = shared
+    inputs, timing = shared
     simulating = 0.0
 
     def histories():
         nonlocal simulating
-        for _, source in chunk:
+        for rep in chunk:
             start = time.perf_counter()
-            returns = simulate(source) if isinstance(source, SimRequest) else source
+            returns = (inputs["history"].data if inputs["history"] is not None
+                       else simulate(_scenario_request(inputs, rep)))
             simulating += time.perf_counter() - start
             yield returns
 
     start = time.perf_counter()
-    results = list(run_backtests(histories(), weights, rolling, methods, asset_ids))
+    results = list(run_backtests(histories(), inputs["weights"], inputs["rolling"],
+                                 inputs["methods"], inputs["asset_ids"]))
     fit_s = time.perf_counter() - start - simulating
     runtime_ms = int(round(fit_s * 1000 / len(chunk))) if timing else 0
     rows, fails = [], []
-    for (rep, _), (reports, failures) in zip(chunk, results):
+    for rep, (reports, failures) in zip(chunk, results):
         rows += [(rep, 0, r.method, r.alpha, r.exceedances, r.cum_prob, r.zone.value, runtime_ms)
                  for r in reports]
         fails += [(rep, label, str(exc)) for label, exc in failures]
@@ -405,19 +421,12 @@ def cmd_backtest(args) -> int:
     replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int,
                             at_least=1)
 
-    if inputs["history"] is not None:
-        if replications != 1:
-            raise ValidationError("replications > 1 requires a scenario input")
-        sources = [inputs["history"].data]
-    else:
-        sources = [_scenario_request(inputs, rep) for rep in range(replications)]
-    run = functools.partial(_run_chunk, (inputs["weights"], inputs["rolling"],
-                                         inputs["methods"], inputs["asset_ids"],
-                                         bool(args.timing)))
-    # One contiguous chunk of replications per worker, one chunk when serial.
-    count = min(jobs, len(sources))
-    indexed = list(enumerate(sources))
-    chunks = [indexed[i * len(sources) // count:(i + 1) * len(sources) // count]
+    if inputs["history"] is not None and replications != 1:
+        raise ValidationError("replications > 1 requires a scenario input")
+    run = functools.partial(_run_chunk, (inputs, bool(args.timing)))
+    # One contiguous range of replications per worker, one range when serial.
+    count = min(jobs, replications, os.cpu_count() or 1)
+    chunks = [range(i * replications // count, (i + 1) * replications // count)
               for i in range(count)]
     if count > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -555,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_back)
     _add_estimation_flags(p_back)
     p_back.add_argument("--replications", type=int, help="number of simulated replications (default 1)")
-    p_back.add_argument("--jobs", type=int, help="worker processes (default 1)")
+    p_back.add_argument("--jobs", type=int, help="worker processes, at most one per CPU and "
+                        "replication (default 1)")
     p_back.add_argument(
         "--timing",
         action="store_true",

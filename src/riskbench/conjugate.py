@@ -156,6 +156,9 @@ def posterior_predictive(
         raise DegreesOfFreedomError(
             f"predictive degrees of freedom n + d0 - 2k = {df} must be positive"
         )
+    if math.inf in ((n + hp.r0) * df, n * hp.r0):
+        raise NumericalError(f"predictive scale overflows: (n + r0) * df or n * r0 is not finite "
+                             f"for d0 = {hp.d0!r}, r0 = {hp.r0!r}")
     stats = sample_stats(window)
     r0 = hp.r0
     post_mean = (n * stats.mean + r0 * hp.m0) / (n + r0)
@@ -214,12 +217,17 @@ def _risk_estimates(pred: PredictiveParams, alphas, measures, method: str = "") 
     for alpha in map(float, alphas):
         if not 0.5 < alpha < 1.0:
             raise ParameterError(f"risk level alpha must lie in (0.5, 1), got {alpha!r}")
-        if RiskMeasure.CVAR in measures and not pred.df > 1:
-            raise DegreesOfFreedomError(f"CVaR multiplier requires df > 1, got {pred.df!r}")
+        _require_cvar_df(pred, measures)
     values = _predictive_risk(np.array([pred.location]), np.array([pred.scale]),
                               np.array([pred.df]), alphas, measures)[0]
     return [RiskEstimate(measure, float(alpha), float(value), method)
             for alpha, row in zip(alphas, values) for measure, value in zip(measures, row)]
+
+
+def _require_cvar_df(pred: PredictiveParams, measures) -> None:
+    """Refuse CVaR of a predictive with ``df <= 1``, whose tail mean is infinite."""
+    if RiskMeasure.CVAR in measures and not pred.df > 1:
+        raise DegreesOfFreedomError(f"CVaR multiplier requires df > 1, got {pred.df!r}")
 
 
 @np.errstate(all="ignore")  # NaN and infinite df give NaN t factors

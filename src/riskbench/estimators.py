@@ -1,14 +1,14 @@
 """Estimator objects consumed by the rolling backtest engine and the CLI.
 
-Each estimator is an immutable config with a stable ``label`` and a
-``day_estimates`` method that builds its predictive once on a window and
-prices every requested (level, measure) pair from it in one call of the
-pricing step the batched engine uses. That per-day method is the scalar
-reference. ``batch_predictive`` fits every evaluation day at once
-from shared :class:`RollingMoments` and returns its predictive ``(location,
-scale, df)`` arrays (``df`` infinite for ``sample``), for the engine to price.
-Each of its checks is a per-day mask, and a day that fails any of them is
-NaN: the engine prices those days on the scalar path, which decides.
+Each estimator is an immutable config with the engine's four members: a
+stable ``label``, ``validate(window, k)``, and two predictive methods that
+price nothing. ``day_predictive`` is the scalar reference: one window's
+predictive ``(location, scale, df)`` from the per-day API (``df`` infinite
+for ``sample``). ``batch_predictive`` fits every evaluation day at once from
+shared :class:`RollingMoments` and returns that record as arrays. Each of its
+checks is a per-day mask, and a day that fails any of them is NaN: the engine
+runs ``day_predictive`` on those days, which decides, and prices them in one
+call. The shared ``day_estimates`` prices one window at every (level, measure).
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import _risk_estimates, posterior_predictive
-from .errors import ParameterError
-from .priors import VsConfig, _sample_predictive, eb_hyperparams, vs_hyperparams
-from .returns import PortfolioWeights, ReturnWindow, RollingMoments
+from .conjugate import (PredictiveParams, RiskEstimate, RiskMeasure, _risk_estimates,
+                        posterior_predictive, risk_estimate)
+from .errors import DimensionError, NumericalError, ParameterError
+from .priors import VsConfig, eb_hyperparams, vs_hyperparams
+from .returns import PortfolioWeights, ReturnWindow, RollingMoments, sample_stats
 
 __all__ = [
     "VolatilitySensitive",
@@ -30,6 +31,7 @@ __all__ = [
     "SampleNormal",
     "parse_method",
     "parse_methods",
+    "sample_method_estimate",
 ]
 
 # Batched checks are stricter than the scalar ones, so that rounding
@@ -94,6 +96,12 @@ def _conjugate_batch(moments: RollingMoments, weights: PortfolioWeights, d0, v_w
     return _predictive(moments, weights, scale_sq, df, ok)
 
 
+class _Estimator:
+    def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
+        """Every ``(level, measure)`` risk estimate of one window's own predictive, level-major."""
+        return _risk_estimates(self.day_predictive(window, weights), alphas, measures, self.label)
+
+
 def _fmt(x: float) -> str:
     """A label number: 12 significant digits, as levels are printed, so that
     every label parses back to its method."""
@@ -101,7 +109,7 @@ def _fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class VolatilitySensitive(VsConfig):
+class VolatilitySensitive(VsConfig, _Estimator):
     """Volatility-sensitive conjugate estimator; its fields are the
     :class:`VsConfig` of the scheme, checked when it is built."""
 
@@ -116,10 +124,8 @@ class VolatilitySensitive(VsConfig):
         if window < k + 2:
             raise ParameterError(f"{self.label}: window {window} must be at least k+2 = {k + 2}")
 
-    def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
-        hp, _ = vs_hyperparams(window, weights, self)
-        return _risk_estimates(posterior_predictive(window, weights, hp), alphas, measures,
-                               self.label)
+    def day_predictive(self, window: ReturnWindow, weights: PortfolioWeights) -> PredictiveParams:
+        return posterior_predictive(window, weights, vs_hyperparams(window, weights, self)[0])
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
@@ -141,7 +147,7 @@ class VolatilitySensitive(VsConfig):
 
 
 @dataclass(frozen=True)
-class EmpiricalBayes:
+class EmpiricalBayes(_Estimator):
     """Empirical-Bayes conjugate estimator; d0 and r0 default to the window length."""
 
     d0: float | None = None
@@ -162,10 +168,8 @@ class EmpiricalBayes:
         if self.r0 is not None and not 0 < self.r0 < math.inf:
             raise ParameterError(f"{self.label}: r0 must be finite and positive")
 
-    def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
-        hp = eb_hyperparams(window, d0=self.d0, r0=self.r0)
-        return _risk_estimates(posterior_predictive(window, weights, hp), alphas, measures,
-                               self.label)
+    def day_predictive(self, window: ReturnWindow, weights: PortfolioWeights) -> PredictiveParams:
+        return posterior_predictive(window, weights, eb_hyperparams(window, self.d0, self.r0))
 
     @np.errstate(all="ignore")  # the days that divide by zero are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
@@ -178,7 +182,7 @@ class EmpiricalBayes:
 
 
 @dataclass(frozen=True)
-class SampleNormal:
+class SampleNormal(_Estimator):
     """Plug-in baseline from the sample mean/covariance and normal quantiles."""
 
     @property
@@ -189,8 +193,15 @@ class SampleNormal:
         if window < 2:
             raise ParameterError("sample: window must be at least 2")
 
-    def day_estimates(self, window: ReturnWindow, weights: PortfolioWeights, alphas, measures):
-        return _risk_estimates(_sample_predictive(window, weights), alphas, measures, self.label)
+    def day_predictive(self, window: ReturnWindow, weights: PortfolioWeights) -> PredictiveParams:
+        """The plug-in normal with the portfolio's sample mean and variance, as ``df = inf``."""
+        if weights.k != window.k:
+            raise DimensionError(f"weights have {weights.k} entries, window has {window.k} assets")
+        stats = sample_stats(window)
+        variance = float(weights.w @ stats.cov @ weights.w)
+        if not variance > 0:
+            raise NumericalError("degenerate portfolio variance in sample estimator")
+        return PredictiveParams(float(weights.w @ stats.mean), math.sqrt(variance), math.inf)
 
     @np.errstate(all="ignore")  # the days of a negative variance are masked
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
@@ -202,6 +213,15 @@ class SampleNormal:
         floor = (moments.floor * np.abs(weights.w)).sum(axis=1)
         return _predictive(moments, weights, v_w, np.full(moments.days, np.inf),
                            v_w > (_FLOOR_MARGIN * floor) ** 2)
+
+
+def sample_method_estimate(window: ReturnWindow, weights: PortfolioWeights, alpha: float,
+                           measure: RiskMeasure = RiskMeasure.VAR,
+                           method: str = "sample") -> RiskEstimate:
+    """Plug-in frequentist baseline: :func:`risk_estimate` of the ``sample``
+    predictive, the normal quantile (or expected-shortfall factor) applied to
+    the sample mean and covariance."""
+    return risk_estimate(SampleNormal().day_predictive(window, weights), alpha, measure, method)
 
 
 _METHOD_RE = re.compile(r"^\s*([a-zA-Z_]+)\s*(?:\(([^)]*)\))?\s*$")

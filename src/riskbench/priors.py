@@ -1,5 +1,5 @@
-"""Hyperparameter specification: the volatility-sensitive scheme, the
-empirical-Bayes baseline, and the plug-in sample estimator.
+"""Hyperparameter specification: the volatility-sensitive scheme and the
+empirical-Bayes baseline.
 
 The volatility-sensitive scheme compares portfolio variance over a short
 recent window against the long window and inflates (or deflates) the prior
@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conjugate import (ConjugateHyperparams, PredictiveParams, RiskEstimate, RiskMeasure,
-                        risk_estimate)
+from .conjugate import ConjugateHyperparams
 from .errors import DegenerateAssetError, DimensionError, NumericalError, ParameterError
 from .returns import (
     PortfolioWeights,
@@ -32,7 +31,6 @@ __all__ = [
     "VolatilityDiagnostics",
     "vs_hyperparams",
     "eb_hyperparams",
-    "sample_method_estimate",
 ]
 
 
@@ -137,20 +135,21 @@ def vs_hyperparams(
     v_rw = float(weights.w @ cov_recent @ weights.w)
     if not v_w > 0:
         raise NumericalError("long-term portfolio variance is not positive")
-    high = max(1.0, v_rw / v_w) ** cfg.h
-    if v_rw > 0:
-        low = max(1.0, v_w / v_rw) ** cfg.l
-    elif cfg.l == 0:
-        low = 1.0
-    else:
+    if not v_rw > 0 and cfg.l != 0:
         raise NumericalError(
             "short-term portfolio variance is zero; the low-volatility exponent is undefined"
         )
-
-    d0 = max(float(k + 2), n * high * low)
-    s0 = ((d0 - k - 1.0) * (n - 1.0) / n) * cov_recent
+    try:
+        high = max(1.0, v_rw / v_w) ** cfg.h
+        low = max(1.0, v_w / v_rw) ** cfg.l if v_rw > 0 else 1.0
+        d0 = max(float(k + 2), n * high * low)
+    except OverflowError:
+        d0 = math.inf
+    if d0 == math.inf:
+        raise NumericalError(f"prior degrees of freedom d0 overflow: v_rw/v_w = {v_rw / v_w:.6g} "
+                             f"with exponents h = {cfg.h!r}, l = {cfg.l!r}")
     r0 = float(n) if cfg.r0 is None else cfg.r0
-    hp = ConjugateHyperparams(m0=stats.mean, r0=r0, d0=d0, s0=s0)
+    hp = ConjugateHyperparams(m0=stats.mean, r0=r0, d0=d0, s0=_prior_scale(cov_recent, d0, n, k))
     diag = VolatilityDiagnostics(sigma=sigma, sigma_r=sigma_r, ratio=ratio, v_w=v_w, v_rw=v_rw)
     return hp, diag
 
@@ -166,30 +165,14 @@ def eb_hyperparams(
     if d0 < k + 2:
         raise ParameterError(f"d0 must be at least k+2 = {k + 2}, got {d0!r}")
     stats = sample_stats(window)
-    s0 = ((d0 - k - 1.0) * (n - 1.0) / n) * stats.cov
-    return ConjugateHyperparams(m0=stats.mean, r0=r0, d0=d0, s0=s0)
+    return ConjugateHyperparams(m0=stats.mean, r0=r0, d0=d0, s0=_prior_scale(stats.cov, d0, n, k))
 
 
-def _sample_predictive(window: ReturnWindow, weights: PortfolioWeights) -> PredictiveParams:
-    """The plug-in predictive of the ``sample`` method: the normal with the
-    portfolio's sample mean and variance, as ``df = inf``."""
-    if weights.k != window.k:
-        raise DimensionError(f"weights have {weights.k} entries, window has {window.k} assets")
-    stats = sample_stats(window)
-    variance = float(weights.w @ stats.cov @ weights.w)
-    if not variance > 0:
-        raise NumericalError("degenerate portfolio variance in sample estimator")
-    return PredictiveParams(float(weights.w @ stats.mean), math.sqrt(variance), math.inf)
-
-
-def sample_method_estimate(
-    window: ReturnWindow,
-    weights: PortfolioWeights,
-    alpha: float,
-    measure: RiskMeasure = RiskMeasure.VAR,
-    method: str = "sample",
-) -> RiskEstimate:
-    """Plug-in frequentist baseline: :func:`risk_estimate` of
-    :func:`_sample_predictive`, the normal quantile (or expected-shortfall
-    factor) applied to the sample mean and covariance."""
-    return risk_estimate(_sample_predictive(window, weights), alpha, measure, method)
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
+def _prior_scale(cov: np.ndarray, d0: float, n: int, k: int) -> np.ndarray:
+    """The prior scale matrix ``S0 = (d0-k-1)(n-1)/n * cov``, refused as a
+    :class:`NumericalError` naming ``d0`` where it overflows."""
+    s0 = ((d0 - k - 1.0) * (n - 1.0) / n) * cov
+    if not np.isfinite(s0).all():
+        raise NumericalError(f"prior scale matrix overflows at prior degrees of freedom d0 = {d0!r}")
+    return s0

@@ -215,6 +215,8 @@ class SimRequest:
             raise ParameterError(f"path length must be at least 2, got {self.t0!r}")
         if int(self.k) < 1:
             raise ParameterError(f"asset count must be at least 1, got {self.k!r}")
+        if int(self.seed) < 0:
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.params is not None and getattr(self.params, "k", int(self.k)) != int(self.k):
             raise DimensionError("params dimension does not match requested asset count")
         object.__setattr__(self, "scenario", scenario)

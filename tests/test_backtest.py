@@ -7,6 +7,7 @@ import pytest
 from riskbench import (
     DimensionError,
     ParameterError,
+    PredictiveParams,
     RiskEstimate,
     RiskMeasure,
     RollingConfig,
@@ -26,7 +27,9 @@ from _oracles import exact_binomial_cdf
 
 
 class ConstantMethod:
-    """Test stub emitting a fixed risk number for every day and level."""
+    """Test stub emitting a fixed risk number for every day and level: a
+    normal at ``-value`` with the smallest positive scale, every day on the
+    scalar path."""
 
     def __init__(self, value, label="const"):
         self.value = value
@@ -35,12 +38,12 @@ class ConstantMethod:
     def validate(self, window, k):
         pass
 
-    def day_estimates(self, window, weights, alphas, measures):
-        return [
-            RiskEstimate(measure=m, alpha=a, value=self.value, method=self.label)
-            for a in alphas
-            for m in measures
-        ]
+    def batch_predictive(self, moments, weights):
+        nan = np.full(moments.days, np.nan)
+        return nan, nan, nan
+
+    def day_predictive(self, window, weights):
+        return PredictiveParams(-self.value, math.ulp(0.0), math.inf)
 
 
 class RecordingMethod(ConstantMethod):
@@ -50,9 +53,9 @@ class RecordingMethod(ConstantMethod):
         super().__init__(0.05, label="recording")
         self.windows = []
 
-    def day_estimates(self, window, weights, alphas, measures):
+    def day_predictive(self, window, weights):
         self.windows.append(np.array(window.data))
-        return super().day_estimates(window, weights, alphas, measures)
+        return super().day_predictive(window, weights)
 
 
 def test_binomial_cdf_matches_exact_oracle():

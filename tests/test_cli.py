@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 from pathlib import Path
 
@@ -258,6 +259,23 @@ def test_duplicate_weight_rows_exit_3(tmp_path, capsys):
           ("dcc", "arch", "nan"), ("dcc", "garch", "inf"), ("dcc", "theta1", "nan"),
           ("dcc", "theta2", "inf"))),
     ("backtest", "[scenario.pmvn]\nmean = nan\n", "scenario.pmvn.mean"),
+    # values the generators refuse, named by the config keys they came from
+    *(("simulate", f"[scenario.{scenario}]\n{ini}\n",
+       " and ".join(f"scenario.{scenario}.{key}" for key in keys))
+      for scenario, ini, keys in (
+          ("dcc", "arch = 0.6\ngarch = 0.5", ("arch", "garch")),
+          ("dcc", "arch = -0.1", ("arch", "garch")),
+          ("dcc", "theta1 = 0.6\ntheta2 = 0.5", ("theta1", "theta2")),
+          ("dcc", "omega = -1e-6", ("omega",)),
+          ("dcc", "correlation = 1.5", ("correlation",)),
+          ("mvn", "correlation = -1", ("correlation",)),
+          ("mvn", "vol = 1e200", ("vol", "correlation")),
+          ("pmvn", "period_lengths = 2.5", ("period_lengths",)),
+          ("pmvn", "period_lengths = 0", ("period_lengths",)),
+          ("pmvn", "regime_probs = 0.5,0.5,0.5", ("regime_probs",)),
+          ("pmvn", "low_scale = 0.4", ("low_scale",)),
+          ("pmvn", "high_scale = 3,2", ("high_scale",)),
+          ("pmvn", "high_scale = 2", ("high_scale",)))),
 ])
 def test_bad_numeric_config_value_exits_2(tmp_path, capsys, command, ini, key):
     cfg = tmp_path / "bad.ini"
@@ -272,38 +290,15 @@ def test_bad_numeric_config_value_exits_2(tmp_path, capsys, command, ini, key):
     assert not list(tmp_path.glob("o*"))
 
 
-def test_worker_pool_capped_at_replications(tmp_path, monkeypatch):
-    created = []
-
-    class RecordingPool:
-        """Runs jobs in-process and records the pool size it was asked for."""
-
-        def __init__(self, max_workers=None):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            return map(fn, iterable)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
-                   "--method", "sample", "--replications", "2", "--jobs", "5000",
-                   "--out", str(tmp_path / "o")) == 0
-    assert created == [2]
-    assert len(read_csv(tmp_path / "o" / "report.csv")) == 1 + 2 * 2
-
-
-def test_jobs_map_one_contiguous_chunk_per_worker(tmp_path, monkeypatch):
-    tasks = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the process pool with one that runs jobs in-process, and
+    return the ``(max_workers, chunks)`` of every pool made."""
+    made = []
 
     class RecordingPool:
         def __init__(self, max_workers=None):
-            pass
+            made.append((max_workers, []))
 
         def __enter__(self):
             return self
@@ -313,17 +308,106 @@ def test_jobs_map_one_contiguous_chunk_per_worker(tmp_path, monkeypatch):
 
         def map(self, fn, iterable):
             chunks = list(iterable)
-            tasks.append([[rep for rep, _ in chunk] for chunk in chunks])
+            made[-1][1].extend(chunks)
             return map(fn, chunks)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+def test_worker_pool_capped_at_replications(tmp_path, monkeypatch, pools):
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
+                   "--method", "sample", "--replications", "2", "--jobs", "5000",
+                   "--out", str(tmp_path / "o")) == 0
+    assert [workers for workers, _ in pools] == [2]
+    assert len(read_csv(tmp_path / "o" / "report.csv")) == 1 + 2 * 2
+
+
+def test_jobs_map_one_contiguous_chunk_per_worker(tmp_path, monkeypatch, pools):
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
             "--replications", "5"]
     assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "two")) == 0
     assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
-    assert tasks == [[[0, 1], [2, 3, 4]]]
+    assert pools == [(2, [range(0, 2), range(2, 5)])]
     assert (tmp_path / "two" / "report.csv").read_bytes() == \
         (tmp_path / "one" / "report.csv").read_bytes()
+
+
+def test_replications_reach_the_workers_as_index_ranges(tmp_path, monkeypatch):
+    # No history or request is built ahead of the fit: a huge replication
+    # count is one range, handed over at once.
+    chunks = []
+
+    def recording_chunk(shared, chunk):
+        chunks.append(chunk)
+        return [], []
+
+    def no_request(inputs, rep):
+        raise AssertionError(f"replication {rep} was built before its fit")
+
+    monkeypatch.setattr("riskbench.cli._run_chunk", recording_chunk)
+    monkeypatch.setattr("riskbench.cli._scenario_request", no_request)
+    assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method",
+                   "sample", "--replications", "100000000000", "--jobs", "1",
+                   "--out", str(tmp_path / "o")) == 0
+    assert chunks == [range(100000000000)]
+
+
+def test_worker_pool_capped_at_the_cpu_count(tmp_path, pools):
+    args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
+            "--replications", "100"]
+    assert run_cli(*args, "--jobs", "64", "--out", str(tmp_path / "many")) == 0
+    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
+    assert all(workers <= os.cpu_count() for workers, _ in pools)
+    assert (tmp_path / "many" / "report.csv").read_bytes() == \
+        (tmp_path / "one" / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "backtest", "estimate"])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_exits_2_naming_its_source(tmp_path, capsys, monkeypatch, command, source):
+    args = [command, "--scenario", "mvn", "--k", "2", "--t", "260", "--out", str(tmp_path / "o")]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    elif source == "config":
+        (tmp_path / "c.ini").write_text(f"[{command}]\nseed = -1\n")
+        args += ["--config", str(tmp_path / "c.ini")]
+    else:
+        monkeypatch.setenv("RISKBENCH_SEED", "-1")
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    where = "RISKBENCH_SEED" if source == "env" else f"{command}.seed"
+    assert err.startswith(f"error: {where} must be") and err.count("\n") == 1
+    assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("spec, names", [
+    ("vs(4,1e308,0)", ["d0", "h = 1e+308"]),
+    ("vs(4,2,1e308)", ["d0", "l = 1e+308"]),
+    ("eb(1e308,n)", ["d0 = 1e+308"]),
+    ("eb(5e305,n)", ["d0 = 5e+305"]),
+    ("eb(30,1e308)", ["r0 = 1e+308"]),
+])
+def test_overflowing_prior_strength_is_a_numerical_error(tmp_path, capsys, spec, names):
+    data_csv = tmp_path / "r.csv"
+    run_cli("simulate", "--scenario", "pmvn", "--k", "3", "--t", "400", "--seed", "2",
+            "--out", str(data_csv))
+    capsys.readouterr()
+    out = tmp_path / "series.csv"
+    assert run_cli("estimate", "--input", str(data_csv), "--window", "250", "--method", spec,
+                   "--out", str(out)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and err.count("\n") == 1
+    assert "overflow" in err and all(name in err for name in names)
+    assert "Traceback" not in err and not out.exists()
+    # backtest skips the method with the same message
+    assert run_cli("backtest", "--input", str(data_csv), "--window", "250", "--method", spec,
+                   "--out", str(tmp_path / "bt")) == 0
+    [warning] = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: replication 0, method ")
+    assert warning.endswith(" skipped: " + err[len("numerical error: "):].strip())
 
 
 @pytest.mark.parametrize("flag, value, key", [

@@ -2,6 +2,7 @@
 
 import csv
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from riskbench import (
     DegenerateAssetError,
+    DegreesOfFreedomError,
     DimensionError,
     EmpiricalBayes,
     NumericalError,
     PortfolioWeights,
+    PredictiveParams,
     ReturnWindow,
     RiskMeasure,
     RollingConfig,
@@ -207,19 +210,20 @@ def test_errors_match_scalar_path_and_spare_other_methods(make, monkeypatch):
         estimate_series(returns, weights, cfg, methods, ids)
 
 
-class FailsOnShock:
+class FailsOnShock(SampleNormal):
     """``sample`` on the scalar path only, raising on any window that holds
     a return above 0.4."""
 
     label = "shock"
 
-    def validate(self, window, k):
-        pass
+    def batch_predictive(self, moments, weights):
+        nan = np.full(moments.days, np.nan)
+        return nan, nan, nan
 
-    def day_estimates(self, window, weights, alphas, measures):
+    def day_predictive(self, window, weights):
         if window.data.max() > 0.4:
             raise NumericalError("a shock is in the window")
-        return SampleNormal().day_estimates(window, weights, alphas, measures)
+        return super().day_predictive(window, weights)
 
 
 # vs(4,2,0) first fails on day 10, the first window of the flat column. The
@@ -311,9 +315,9 @@ class CountingScalarCalls:
     def batch_predictive(self, moments, weights):
         return self.method.batch_predictive(moments, weights)
 
-    def day_estimates(self, window, weights, alphas, measures):
+    def day_predictive(self, window, weights):
         self.calls += 1
-        return self.method.day_estimates(window, weights, alphas, measures)
+        return self.method.day_predictive(window, weights)
 
 
 def test_scalar_path_runs_only_on_the_days_left_nan():
@@ -654,3 +658,107 @@ def test_stacking_cases_reach_the_scalar_path_and_outright_failures():
     assert [m.calls > 0 for m in counting] == [True, True, True, False]
     [(_, failures)] = backtest.run_backtests([flat], equal_weights(k), cfg, counting)
     assert [label for label, _ in failures] == ["vs(4,2,0)", "vs(4,0,0)", "eb"]
+
+
+class NanOnDrawnDays:
+    """A method whose batched record is NaN on the drawn days of the stacked
+    day axis as well, so that the engine prices those on the scalar path."""
+
+    def __init__(self, method, nan_days):
+        self.method, self.label, self.nan_days = method, method.label, nan_days
+
+    def validate(self, window, k):
+        self.method.validate(window, k)
+
+    def batch_predictive(self, moments, weights):
+        return tuple(np.where(self.nan_days, np.nan, x)
+                     for x in self.method.batch_predictive(moments, weights))
+
+    def day_predictive(self, window, weights):
+        return self.method.day_predictive(window, weights)
+
+
+def scalar_pricing_calls():
+    """A ``_predictive_risk`` that records the days of each call the scalar path makes."""
+    calls = []
+
+    def pricing(location, *args):
+        if sys._getframe(1).f_code.co_name == "_day_by_day":
+            calls.append(location.size)
+        return _predictive_risk(location, *args)
+
+    return calls, mock.patch.object(backtest, "_predictive_risk", pricing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacking_cases(), st.data())
+def test_scalar_days_equal_the_per_day_reference_bit_for_bit(case, data):
+    # The scalar path prices every day it runs in one call per history and
+    # method, none when there is none; those days keep the bits of each
+    # day's own day_estimates, and the others the bits of the batched record.
+    histories, weights, cfg, _ = case
+    k, window = weights.k, cfg.window
+    method = data.draw(st.one_of(
+        st.builds(VolatilitySensitive, n_r=st.integers(2, window), h=st.floats(0.0, 4.0),
+                  l=st.floats(0.0, 4.0), r0=st.none() | st.floats(0.5, 500.0)),
+        st.builds(EmpiricalBayes, d0=st.none() | st.floats(k + 2.0, 5000.0),
+                  r0=st.none() | st.floats(0.5, 500.0)),
+        st.just(SampleNormal()),
+    ))
+    levels = tuple(data.draw(st.lists(st.floats(0.51, 0.9999), min_size=1, max_size=3,
+                                      unique=True)))
+    measures = data.draw(st.sampled_from([(VAR,), (CVAR,), (VAR, CVAR)]))
+    cfg = RollingConfig(window=window, levels=levels)
+    days = [len(h) - window for h in histories]
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=sum(days), max_size=sum(days))))
+    batched = batched_values(method, backtest.stacked_moments(histories, window), weights,
+                             levels, measures)
+    cuts = np.cumsum(days)[:-1]
+    scalar_days = np.split(drawn | np.isnan(batched).any(axis=(1, 2)), cuts)
+    calls, patch = scalar_pricing_calls()
+    with patch:
+        results = [values for _, [values] in backtest._forecasts(
+            histories, weights, cfg, [NanOnDrawnDays(method, drawn)], measures, None)]
+    expected_calls = []
+    for returns, values, nan, batch in zip(histories, results, scalar_days, np.split(batched, cuts)):
+        error = scalar_first_error(returns, weights, window, method)
+        if error is not None:
+            assert (type(values[1]), str(values[1])) == (type(error), str(error))
+            continue
+        np.testing.assert_array_equal(
+            values[nan], scalar_values(returns, weights, window, method, levels, measures)[nan])
+        np.testing.assert_array_equal(values[~nan], batch[~nan])
+        expected_calls += [nan.sum()] if nan.any() else []
+    assert calls == expected_calls
+
+
+class HeavyTailOnShock(EmpiricalBayes):
+    """``eb`` on the scalar path only, with ``df = 1`` on any window that
+    holds a return above 0.4."""
+
+    def batch_predictive(self, moments, weights):
+        nan = np.full(moments.days, np.nan)
+        return nan, nan, nan
+
+    def day_predictive(self, window, weights):
+        pred = super().day_predictive(window, weights)
+        return PredictiveParams(pred.location, pred.scale, 1.0 if window.data.max() > 0.4 else pred.df)
+
+
+def test_scalar_cvar_at_df_one_raises_the_day_estimates_error():
+    window = 60
+    returns = correlated_returns(3, window + 20, 3)
+    returns[window + 5, 0] = 0.5
+    method, weights = HeavyTailOnShock(), equal_weights(3)
+    cfg = RollingConfig(window=window, levels=(0.99,))
+    win = ReturnWindow.from_matrix(returns[6:window + 6])
+    with pytest.raises(DegreesOfFreedomError) as ref:
+        method.day_estimates(win, weights, cfg.levels, (VAR, CVAR))
+    assert str(ref.value) == "CVaR multiplier requires df > 1, got 1.0"
+    with pytest.raises(DegreesOfFreedomError, match=re.escape(str(ref.value))):
+        estimate_series(returns, weights, cfg, [method])
+    # VaR alone prices every day, the df = 1 days included, in one call.
+    calls, patch = scalar_pricing_calls()
+    with patch:
+        reports, failures = run_backtest(returns, weights, cfg, [method])
+    assert failures == [] and calls == [20]

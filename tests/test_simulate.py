@@ -59,6 +59,12 @@ def test_param_validation():
         SimRequest(scenario="garch", t0=100, k=2, seed=1)
 
 
+def test_sim_request_refuses_a_negative_seed():
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer, got -1"):
+        SimRequest(scenario="mvn", t0=100, k=2, seed=-1)
+    assert SimRequest(scenario="mvn", t0=100, k=2, seed=0).seed == 0
+
+
 def build_params(scenario, **changes):
     """Default params of a two-asset scenario with ``changes`` applied."""
     if scenario == "pmvn":
