@@ -7,8 +7,10 @@ visible to its own forecast. A method has a ``label``, ``validate(window,
 k)``, ``batch_predictive`` and ``day_predictive``. One driver serves
 ``rolling_forecasts``, ``estimate_series``, ``run_backtest`` and
 ``run_backtests``. It takes a stack of return histories (one for all but
-``run_backtests``): their evaluation days, history after history, form one
-day axis, cut into memory-bounded segments that may span several histories.
+``run_backtests``) and checks preconditions once per run: each method's
+``validate`` once, and each history's length against the window. The
+histories' evaluation days, history after history, form one day axis, cut
+into memory-bounded segments that may span several histories.
 The moments of every trailing window of a segment are computed in one pass
 (:func:`stacked_moments`) and shared by all methods; each method's
 ``batch_predictive`` maps them to predictive ``(location, scale, df)``
@@ -151,14 +153,6 @@ def _as_matrix(returns, weights: PortfolioWeights) -> np.ndarray:
     return returns
 
 
-def _check_method(returns: np.ndarray, cfg: RollingConfig, method) -> None:
-    if returns.shape[0] <= cfg.window:
-        raise ValidationError(
-            f"history length {returns.shape[0]} must exceed the rolling window {cfg.window}"
-        )
-    method.validate(cfg.window, returns.shape[1])
-
-
 def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, out, asset_ids):
     """The scalar path: ``method.day_predictive`` on the trailing window of
     each day that is NaN in ``out``, in day order, then one pricing call for
@@ -178,48 +172,19 @@ def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, out, ass
     return out
 
 
-class _Replication:
-    """One history in the stack: per method a NaN ``(days, levels,
-    measures)`` array to fill, or the ``(-1, error)`` of a failed
-    precondition, and the methods whose preconditions hold."""
-
-    def __init__(self, returns, weights, cfg: RollingConfig, methods, measures):
-        self.returns = returns
-        self.values = []
-        for method in methods:
-            try:
-                _check_method(returns, cfg, method)
-                self.values.append(np.full((returns.shape[0] - cfg.window, len(cfg.levels),
-                                            len(measures)), np.nan))
-            except (ValidationError, ArithmeticError) as exc:
-                self.values.append((-1, exc))
-        self.batched = [j for j, values in enumerate(self.values) if not isinstance(values, tuple)]
-        self.days = returns.shape[0] - cfg.window if self.batched else 0
-
-    def finish(self, weights, cfg: RollingConfig, methods, measures, asset_ids):
-        """``(returns, results)``, the days the batched engine left NaN
-        priced on the scalar path."""
-        return self.returns, [
-            values if isinstance(values, tuple)
-            else _day_by_day(self.returns, weights, cfg, method, measures, values, asset_ids)
-            for method, values in zip(methods, self.values)]
-
-
-def _fit_segment(pieces, weights, cfg: RollingConfig, methods, measures) -> None:
-    """Fit one segment: ``pieces`` are ``(replication, start, stop)`` day
-    ranges, whose moments are stacked so that each batched method runs once
-    on all of them and one call prices all their predictives."""
-    moments = stacked_moments([rep.returns[start:stop + cfg.window] for rep, start, stop in pieces],
-                              cfg.window)
-    batched = sorted({j for rep, _, _ in pieces for j in rep.batched})
+def _fit_segment(pieces, batched, weights, cfg: RollingConfig, methods, measures) -> None:
+    """Fit one segment: ``pieces`` are ``(values, returns, start, stop)`` day
+    ranges of histories, whose moments are stacked so that each of the
+    ``batched`` methods runs once on all of them and one call prices all
+    their predictives into the histories' ``values``."""
+    moments = stacked_moments([returns[start:stop + cfg.window]
+                               for _, returns, start, stop in pieces], cfg.window)
     records = [methods[j].batch_predictive(moments, weights) for j in batched]
-    values = _predictive_risk(*map(np.concatenate, zip(*records)), cfg.levels, measures)
-    for j, method_values in zip(batched, np.split(values, len(batched))):
-        offset = 0
-        for rep, start, stop in pieces:
-            if j in rep.batched:
-                rep.values[j][start:stop] = method_values[offset:offset + stop - start]
-            offset += stop - start
+    priced = _predictive_risk(*map(np.concatenate, zip(*records)), cfg.levels, measures)
+    bounds = np.cumsum([stop - start for _, _, start, stop in pieces])[:-1]
+    for j, method_values in zip(batched, np.split(priced, len(batched))):
+        for (values, _, start, stop), part in zip(pieces, np.split(method_values, bounds)):
+            values[j][start:stop] = part
 
 
 def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_ids):
@@ -228,36 +193,57 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
     or the ``(day, error)`` of its first failure, day -1 for a failed
     precondition.
 
-    The batched days of all histories, in order, form one day axis, cut
-    into segments of as many days as fit in ``_SEGMENT_BYTES``; a segment
-    may span several histories. Each segment's moments are computed once
-    and shared by every method's ``batch_predictive``, which runs once per
+    Each method's ``validate(window, k)`` runs once per call (``weights``
+    pin k); a history no longer than the window fails every method. The
+    batched days of all histories, in order, form one day axis, cut into
+    segments of as many days as fit in ``_SEGMENT_BYTES``; a segment may
+    span several histories. Each segment's moments are computed once and
+    shared by every method's ``batch_predictive``, which runs once per
     segment. A history is handed back, with the days left NaN priced on the
     scalar path within it, as soon as its last segment is fitted, so no more
     histories are held than the current segment spans.
     """
+    checks = []
+    for method in methods:
+        try:
+            method.validate(cfg.window, weights.k)
+            checks.append(None)
+        except (ValidationError, ArithmeticError) as exc:
+            checks.append((-1, exc))
+    batched = [j for j, failed in enumerate(checks) if failed is None]
     step = max(1, _SEGMENT_BYTES // _day_bytes(weights.k))
-    args = (weights, cfg, methods, measures)
+
+    def finish():
+        values, returns = pending.popleft()
+        return returns, [v if isinstance(v, tuple)
+                         else _day_by_day(returns, weights, cfg, method, measures, v, asset_ids)
+                         for method, v in zip(methods, values)]
+
     pending, pieces, room = deque(), [], step
     for returns in histories:
-        rep = _Replication(_as_matrix(returns, weights), *args)
-        pending.append(rep)
+        returns = _as_matrix(returns, weights)
+        days = returns.shape[0] - cfg.window
+        too_short = None if days > 0 else (-1, ValidationError(
+            f"history length {returns.shape[0]} must exceed the rolling window {cfg.window}"))
+        values = [too_short or failed or np.full((days, len(cfg.levels), len(measures)), np.nan)
+                  for failed in checks]
+        pending.append((values, returns))
         day = 0
-        while day < rep.days:
-            take = min(room, rep.days - day)
-            pieces.append((rep, day, day + take))
+        while batched and day < days:
+            take = min(room, days - day)
+            pieces.append((values, returns, day, day + take))
             day, room = day + take, room - take
             if not room:
-                _fit_segment(pieces, *args)
+                _fit_segment(pieces, batched, weights, cfg, methods, measures)
                 pieces, room = [], step
-                while pending[0] is not rep:
-                    yield pending.popleft().finish(*args, asset_ids)
-        while pending and not (pieces and pieces[0][0] is pending[0]):
-            yield pending.popleft().finish(*args, asset_ids)
+                while pending[0][0] is not values:
+                    yield finish()
+        while pending and not (pieces and pieces[0][0] is pending[0][0]):
+            yield finish()
     if pieces:
-        _fit_segment(pieces, *args)
+        _fit_segment(pieces, batched, weights, cfg, methods, measures)
     while pending:
-        yield pending.popleft().finish(*args, asset_ids)
+        yield finish()
 
 
 def rolling_forecasts(returns, weights: PortfolioWeights, cfg: RollingConfig, method,

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__
 from .dataio import (
-    ReturnHistory,
     fmt_number,
     ingest_returns,
     load_weights,
@@ -299,10 +298,10 @@ def _run_chunk(shared, chunk: range):
     fitted together as one stack (see :func:`riskbench.backtest.run_backtests`).
 
     ``shared`` is ``(inputs, timing)``, with ``inputs`` from
-    :func:`_resolve_backtest_inputs`: each replication is the input history
-    or, for a scenario, simulated from its index when the stack reaches it.
+    :func:`_resolve_backtest_inputs`: each replication's history is drawn
+    by :func:`_replication` when the stack reaches it.
     Returns report rows in ``REPORT_HEADER`` order and
-    ``(replication, label, message)`` failures. With ``timing``, each row's
+    ``(replication, label, error)`` failures. With ``timing``, each row's
     ``runtime_ms`` is the chunk's fitting wall time (all methods and
     replications, excluding simulation) divided by its replications.
     """
@@ -315,8 +314,7 @@ def _run_chunk(shared, chunk: range):
         nonlocal simulating
         for rep in chunk:
             start = time.perf_counter()
-            returns = (inputs["history"].data if inputs["history"] is not None
-                       else simulate(_scenario_request(inputs, rep)))
+            returns = _replication(inputs, rep)
             simulating += time.perf_counter() - start
             yield returns
 
@@ -329,23 +327,28 @@ def _run_chunk(shared, chunk: range):
     for rep, (reports, failures) in zip(chunk, results):
         rows += [(rep, 0, r.method, r.alpha, r.exceedances, r.cum_prob, r.zone.value, runtime_ms)
                  for r in reports]
-        fails += [(rep, label, str(exc)) for label, exc in failures]
+        fails += [(rep, label, exc) for label, exc in failures]
     return rows, fails
 
 
-def _scenario_request(inputs, rep: int) -> SimRequest:
-    """The simulation request of replication ``rep`` of a scenario input."""
-    return SimRequest(scenario=inputs["scenario"], t0=inputs["t0"], k=inputs["k"],
-                      seed=replication_seed(inputs["seed"], rep), params=inputs["params"])
+def _replication(inputs, rep: int) -> np.ndarray:
+    """Replication ``rep``'s history: the input CSV's data, or the scenario
+    simulated at ``replication_seed(seed, rep)``."""
+    request = inputs["request"]
+    if request is None:
+        return inputs["history"].data
+    return simulate(replace(request, seed=replication_seed(request.seed, rep)))
 
 
 def _resolve_backtest_inputs(cfg, args, section: str):
     """Shared backtest/estimate input resolution; validates before computing.
 
-    The fitting modules are imported here and not at module level, so
-    ``simulate`` and ``--version`` never load them. Levels are printed with
-    :func:`fmt_number` in every output, so two levels that print alike are
-    refused.
+    The dict holds ``rolling``, ``methods``, ``weights``, ``asset_ids`` and
+    either ``history``, the input CSV, or ``request``, the scenario at the
+    base seed (the other is None). The fitting modules are imported here and
+    not at module level, so ``simulate`` and ``--version`` never load them.
+    Levels are printed with :func:`fmt_number` in every output, so two
+    levels that print alike are refused.
     """
     from .backtest import RollingConfig
     from .estimators import parse_methods
@@ -373,13 +376,11 @@ def _resolve_backtest_inputs(cfg, args, section: str):
     mode = str(_cfg_get(cfg, section, "mode", args.mode, "returns"))
     weights_spec = str(_cfg_get(cfg, section, "weights", args.weights, "equal"))
 
-    history: ReturnHistory | None = None
+    history = None
     if input_path is not None:
         history = ingest_returns(input_path, mode=mode)
-        k = len(history.asset_ids)
-        t0 = history.data.shape[0]
+        t0, k = history.data.shape
         asset_ids = history.asset_ids
-        params = None
     else:
         scenario = str(scenario).lower()
         if scenario not in SCENARIOS:
@@ -394,14 +395,11 @@ def _resolve_backtest_inputs(cfg, args, section: str):
     for method in methods:
         method.validate(window, k)
     weights = load_weights(weights_spec, asset_ids)
+    request = SimRequest(scenario, t0, k, seed, params) if history is None else None
 
     return {
         "history": history,
-        "scenario": scenario if input_path is None else None,
-        "params": params,
-        "k": k,
-        "t0": t0,
-        "seed": seed,
+        "request": request,
         "rolling": rolling,
         "methods": methods,
         "weights": weights,
@@ -437,9 +435,11 @@ def cmd_backtest(args) -> int:
         results = list(map(run, chunks))
 
     rows = sorted((row for reps_rows, _ in results for row in reps_rows), key=lambda r: r[:4])
-    for _, reps_fails in results:
-        for rep, label, message in reps_fails:
-            print(f"warning: replication {rep}, method {label} skipped: {message}", file=sys.stderr)
+    fails = [fail for _, reps_fails in results for fail in reps_fails]
+    for rep, label, exc in fails:
+        print(f"warning: replication {rep}, method {label} skipped: {exc}", file=sys.stderr)
+    if fails and not rows:
+        raise fails[0][2]  # every method failed on every replication
 
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -485,12 +485,9 @@ def cmd_estimate(args) -> int:
     if out is None:
         raise ValidationError("estimate needs an output path (--out)")
 
-    history = inputs["history"]
-    if history is not None:
-        returns, dates = history.data, history.dates
-    else:
-        returns = simulate(_scenario_request(inputs, 0))
-        dates = weekday_dates(dt.date.fromisoformat(DEFAULT_START_DATE), inputs["t0"])
+    returns = _replication(inputs, 0)
+    dates = (inputs["history"].dates if inputs["history"] is not None
+             else weekday_dates(dt.date.fromisoformat(DEFAULT_START_DATE), len(returns)))
 
     series = estimate_series(returns, inputs["weights"], inputs["rolling"], inputs["methods"],
                              inputs["asset_ids"])

@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskbench.cli import main
 
@@ -344,11 +349,11 @@ def test_replications_reach_the_workers_as_index_ranges(tmp_path, monkeypatch):
         chunks.append(chunk)
         return [], []
 
-    def no_request(inputs, rep):
+    def no_replication(inputs, rep):
         raise AssertionError(f"replication {rep} was built before its fit")
 
     monkeypatch.setattr("riskbench.cli._run_chunk", recording_chunk)
-    monkeypatch.setattr("riskbench.cli._scenario_request", no_request)
+    monkeypatch.setattr("riskbench.cli._replication", no_replication)
     assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method",
                    "sample", "--replications", "100000000000", "--jobs", "1",
                    "--out", str(tmp_path / "o")) == 0
@@ -402,12 +407,33 @@ def test_overflowing_prior_strength_is_a_numerical_error(tmp_path, capsys, spec,
     assert err.startswith("numerical error: ") and err.count("\n") == 1
     assert "overflow" in err and all(name in err for name in names)
     assert "Traceback" not in err and not out.exists()
-    # backtest skips the method with the same message
+    # backtest skips the method with the same message, and the others run
     assert run_cli("backtest", "--input", str(data_csv), "--window", "250", "--method", spec,
-                   "--out", str(tmp_path / "bt")) == 0
+                   "--method", "sample", "--out", str(tmp_path / "bt")) == 0
     [warning] = capsys.readouterr().err.splitlines()
     assert warning.startswith("warning: replication 0, method ")
     assert warning.endswith(" skipped: " + err[len("numerical error: "):].strip())
+
+
+@pytest.mark.parametrize("source", [
+    ["--input", "r.csv"],
+    ["--scenario", "mvn", "--k", "3", "--t", "300", "--replications", "3", "--jobs", "2"],
+])
+def test_backtest_with_every_method_skipped_raises_the_first_failure(tmp_path, capsys,
+                                                                    monkeypatch, source):
+    monkeypatch.chdir(tmp_path)
+    run_cli("simulate", "--scenario", "pmvn", "--k", "3", "--t", "400", "--seed", "2",
+            "--out", "r.csv")
+    capsys.readouterr()
+    assert run_cli("backtest", *source, "--window", "250", "--method", "vs(4,1e308,0)",
+                   "--method", "eb(1e308,n)", "--out", "bt") == 4
+    *warnings, last = capsys.readouterr().err.splitlines()
+    reps = 3 if "--replications" in source else 1
+    assert [w.split(" skipped: ")[0] for w in warnings] == [
+        f"warning: replication {rep}, method {label}"
+        for rep in range(reps) for label in ("vs(4,1e+308,0)", "eb(1e+308,n)")]
+    assert last == "numerical error: " + warnings[0].split(" skipped: ")[1]
+    assert "d0 overflow" in last and not (tmp_path / "bt").exists()
 
 
 @pytest.mark.parametrize("flag, value, key", [
@@ -657,3 +683,84 @@ def test_non_utf8_weights_exits_3(tmp_path, capsys):
                    "sample", "--weights", str(wpath), "--out", str(tmp_path / "bt")) == 3
     assert capsys.readouterr().err == f"data error: {wpath}: file is not UTF-8 text\n"
     assert not (tmp_path / "bt").exists()
+
+
+ERROR_PREFIXES = ("error: ", "data error: ", "numerical error: ", "i/o error: ")
+METHODS = ["vs(4,2,0)", "vs(2,0,1)", "vs(4,0,0)", "eb", "eb(30,n)", "sample"]
+NEAR_VALID_METHODS = ["vs(80,2,0)", "vs(4,1e308,0)", "eb(4,n)", "eb(30,1e308)", "eb(1e308,n)",
+                      "vs(nan,2,0)", "vs(4,2)", "garch", ""]
+LEVELS = ["0.5001", "0.9", "0.975", "0.99", "0.9999"]
+
+
+def near(draw, valid, invalid):
+    """A draw from ``valid`` nine times in ten, else from ``invalid``."""
+    return draw(valid if draw(st.integers(0, 9)) < 9 else invalid)
+
+
+@st.composite
+def cli_runs(draw):
+    """``(argv, files)``: a backtest or estimate on tiny shapes, each flag
+    valid nine times in ten and just outside its valid range otherwise;
+    ``files`` maps the names of the input and weights CSVs the argv reads
+    to their text."""
+    command = draw(st.sampled_from(["backtest", "estimate"]))
+    k = near(draw, st.integers(1, 3), st.integers(-1, 0))
+    window = near(draw, st.integers(2, 50), st.integers(-1, 1))
+    t = near(draw, st.integers(max(window, 0) + 1, 60), st.integers(0, 60))
+    levels = near(draw, st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3, unique=True),
+                  st.lists(st.sampled_from(LEVELS + ["0.5", "0.99999", "1", "abc", "nan"]),
+                           max_size=3))
+    specs = near(draw, st.lists(st.sampled_from(METHODS), min_size=1, max_size=3, unique=True),
+                 st.lists(st.sampled_from(METHODS + NEAR_VALID_METHODS), min_size=1,
+                          max_size=3))
+    argv = [command, "--window", str(window), "--alpha", ",".join(levels),
+            "--seed", str(near(draw, st.integers(0, 2**64), st.just(-1)))]
+    for spec in specs:
+        argv += ["--method", spec]
+    files, assets = {}, max(k, 1)
+    scenario = draw(st.booleans())
+    if scenario:
+        argv += ["--scenario", draw(st.sampled_from(["mvn", "pmvn", "dcc"])),
+                 "--k", str(k), "--t", str(t)]
+    else:
+        # a flat column, or prices that are not all positive, now and then
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = draw(st.sampled_from([0.0, 1.0])) + rng.normal(0, 0.01, (t, assets))
+        values[:, :near(draw, st.just(0), st.just(1))] = draw(st.sampled_from([0.0, 1.0]))
+        lines = ["date," + ",".join(f"A{i + 1}" for i in range(assets))]
+        lines += [f"2021-{1 + day // 28:02d}-{1 + day % 28:02d},"
+                  + ",".join(map("{:.10f}".format, row)) for day, row in enumerate(values)]
+        files["r.csv"] = "\n".join(lines) + "\n"
+        argv += ["--input", "r.csv", "--mode", draw(st.sampled_from(["returns", "prices"]))]
+    if draw(st.booleans()):
+        weights = near(draw, st.just([1 / assets] * assets),
+                       st.lists(st.sampled_from(["0.5", "1", "-0.5", "x"]), max_size=4))
+        files["w.csv"] = "asset,weight\n" + "".join(f"A{i + 1},{w}\n"
+                                                    for i, w in enumerate(weights))
+        argv += ["--weights", "w.csv"]
+    if command == "backtest":
+        # more than one replication needs a scenario
+        replications = near(draw, st.integers(1, 3) if scenario else st.just(1), st.integers(0, 3))
+        argv += ["--replications", str(replications), "--jobs", str(draw(st.integers(1, 2)))]
+    return argv, files
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_runs())
+@example((["backtest", "--scenario", "mvn", "--k", "2", "--t", "40", "--window", "30",
+           "--method", "vs(4,1e308,0)", "--replications", "2", "--jobs", "2"], {}))
+def test_every_run_ends_in_a_documented_exit_code(run):
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        out, err = Path(tmp, "out"), io.StringIO()
+        argv = [str(Path(tmp, arg)) if arg in files else arg for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", str(out)])
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code:
+            assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
+            assert not out.exists()

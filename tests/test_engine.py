@@ -304,12 +304,14 @@ def test_constant_columns_fail_every_method_as_on_the_scalar_path(columns, faili
 
 
 class CountingScalarCalls:
-    """A method that counts the days priced on the scalar path."""
+    """A method that counts the days priced on the scalar path, and its
+    ``validate`` calls."""
 
     def __init__(self, method):
-        self.method, self.label, self.calls = method, method.label, 0
+        self.method, self.label, self.calls, self.validations = method, method.label, 0, 0
 
     def validate(self, window, k):
+        self.validations += 1
         self.method.validate(window, k)
 
     def batch_predictive(self, moments, weights):
@@ -658,6 +660,33 @@ def test_stacking_cases_reach_the_scalar_path_and_outright_failures():
     assert [m.calls > 0 for m in counting] == [True, True, True, False]
     [(_, failures)] = backtest.run_backtests([flat], equal_weights(k), cfg, counting)
     assert [label for label, _ in failures] == ["vs(4,2,0)", "vs(4,0,0)", "eb"]
+
+
+def test_each_method_is_validated_once_per_run():
+    # validate(window, k) depends on the run alone: the weights pin k
+    histories = [correlated_returns(seed, 30, 3) for seed in range(5)]
+    methods = [CountingScalarCalls(m) for m in parse_methods(DEFAULT_METHODS + ["eb(4,n)"])]
+    results = list(backtest.run_backtests(iter(histories), equal_weights(3),
+                                          RollingConfig(window=20), methods))
+    assert [[label for label, _ in failures] for _, failures in results] == [["eb(4,n)"]] * 5
+    assert [m.validations for m in methods] == [1] * 5
+
+
+@pytest.mark.parametrize("segment_days", [3, 1000])
+def test_a_history_no_longer_than_the_window_fails_every_method(segment_days):
+    window, k = 20, 3
+    weights, cfg = equal_weights(k), RollingConfig(window=window)
+    methods = parse_methods(DEFAULT_METHODS + ["eb(4,n)"])
+    histories = [correlated_returns(1, window + 9, k), correlated_returns(2, window, k),
+                 correlated_returns(3, window + 4, k)]
+    alone = [report_bits(*run_backtest(h, weights, cfg, methods)) for h in histories]
+    with mock.patch.object(backtest, "_SEGMENT_BYTES", segment_days * backtest._day_bytes(k)):
+        stacked = [report_bits(*r) for r in backtest.run_backtests(iter(histories), weights, cfg,
+                                                                   methods)]
+    assert stacked == alone
+    message = f"history length {window} must exceed the rolling window {window}"
+    assert stacked[1] == ([], [(m.label, ValidationError, message) for m in methods])
+    assert all(reports for reports, _ in (stacked[0], stacked[2]))
 
 
 class NanOnDrawnDays:
