@@ -4,7 +4,11 @@ import io
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -296,46 +300,41 @@ def test_bad_numeric_config_value_exits_2(tmp_path, capsys, command, ini, key):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Replace the process pool with one that runs jobs in-process, and
-    return the ``(max_workers, chunks)`` of every pool made."""
+def worker_chunks(monkeypatch):
+    """Run every backtest's chunks in process, and return the chunks of each
+    backtest, one list per run."""
     made = []
 
-    class RecordingPool:
-        def __init__(self, max_workers=None):
-            made.append((max_workers, []))
+    def recording_map(run, chunks):
+        made.append(chunks)
+        return [run(chunk) for chunk in chunks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable):
-            chunks = list(iterable)
-            made[-1][1].extend(chunks)
-            return map(fn, chunks)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("riskbench.cli._map_chunks", recording_map)
     return made
 
 
-def test_worker_pool_capped_at_replications(tmp_path, monkeypatch, pools):
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+def allow_cpus(monkeypatch, count):
+    """Let this process run on ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: count)
+
+
+def test_worker_pool_capped_at_replications(tmp_path, monkeypatch, worker_chunks):
+    allow_cpus(monkeypatch, 8)
     assert run_cli("backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
                    "--method", "sample", "--replications", "2", "--jobs", "5000",
                    "--out", str(tmp_path / "o")) == 0
-    assert [workers for workers, _ in pools] == [2]
+    assert [len(chunks) for chunks in worker_chunks] == [2]
     assert len(read_csv(tmp_path / "o" / "report.csv")) == 1 + 2 * 2
 
 
-def test_jobs_map_one_contiguous_chunk_per_worker(tmp_path, monkeypatch, pools):
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
+def test_jobs_map_one_contiguous_chunk_per_worker(tmp_path, monkeypatch, worker_chunks):
+    allow_cpus(monkeypatch, 8)
     args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
             "--replications", "5"]
     assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "two")) == 0
     assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
-    assert pools == [(2, [range(0, 2), range(2, 5)])]
+    assert worker_chunks == [[range(0, 2), range(2, 5)], [range(0, 5)]]
     assert (tmp_path / "two" / "report.csv").read_bytes() == \
         (tmp_path / "one" / "report.csv").read_bytes()
 
@@ -360,14 +359,179 @@ def test_replications_reach_the_workers_as_index_ranges(tmp_path, monkeypatch):
     assert chunks == [range(100000000000)]
 
 
-def test_worker_pool_capped_at_the_cpu_count(tmp_path, pools):
+def test_worker_pool_capped_at_the_cpu_count(tmp_path, worker_chunks):
     args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
             "--replications", "100"]
     assert run_cli(*args, "--jobs", "64", "--out", str(tmp_path / "many")) == 0
     assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
-    assert all(workers <= os.cpu_count() for workers, _ in pools)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert all(len(chunks) <= cpus for chunks in worker_chunks)
     assert (tmp_path / "many" / "report.csv").read_bytes() == \
         (tmp_path / "one" / "report.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_one_allowed_cpu_starts_no_worker(tmp_path, monkeypatch):
+    # The bound is the CPUs this process may run on, not the host's count.
+    args = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
+            "--replications", "4"]
+    assert run_cli(*args, "--jobs", "1", "--out", str(tmp_path / "one")) == 0
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr("os.fork", no_worker)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_worker)
+    assert run_cli(*args, "--jobs", "2", "--out", str(tmp_path / "two")) == 0
+    for name in ("report.csv", "aggregate.json"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Let the backtest use 8 CPUs, and return the pid of every child it forks."""
+    allow_cpus(monkeypatch, 8)
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr("os.fork", recording_fork)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+FORK_ARGS = ["backtest", "--scenario", "mvn", "--k", "2", "--t", "260", "--method", "sample",
+             "--replications", "5"]
+
+
+@linux_only
+def test_a_child_whose_chunk_raises_fails_as_at_jobs_1(tmp_path, capsys, monkeypatch, forks):
+    from riskbench import cli
+    from riskbench.errors import NumericalError
+
+    run_chunk = cli._run_chunk
+
+    def failing_chunk(shared, chunk):
+        if 3 in chunk:
+            raise NumericalError("replication 3 cannot be fitted")
+        return run_chunk(shared, chunk)
+
+    monkeypatch.setattr("riskbench.cli._run_chunk", failing_chunk)
+    ends = []
+    for jobs in ("1", "2"):
+        code = run_cli(*FORK_ARGS, "--jobs", jobs, "--out", str(tmp_path / jobs))
+        ends.append((code, capsys.readouterr().err))
+        assert not (tmp_path / jobs).exists()
+    assert ends[0] == ends[1] == (4, "numerical error: replication 3 cannot be fitted\n")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@linux_only
+@pytest.mark.parametrize("death, how", [
+    (lambda: os._exit(9), "exit code 9"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+], ids=["exit", "signal"])
+def test_a_child_that_dies_is_an_io_error(tmp_path, capsys, monkeypatch, forks, death, how):
+    from riskbench import cli
+
+    run_chunk = cli._run_chunk
+
+    def dying_chunk(shared, chunk):
+        if chunk.start:
+            death()
+        return run_chunk(shared, chunk)
+
+    monkeypatch.setattr("riskbench.cli._run_chunk", dying_chunk)
+    out = tmp_path / "bt"
+    assert run_cli(*FORK_ARGS, "--jobs", "2", "--out", str(out)) == 3
+    assert capsys.readouterr().err == \
+        f"i/o error: the worker for replications 2-4 ended without a result ({how})\n"
+    assert not out.exists() and len(forks) == 1
+    assert_no_child_left()
+
+
+@linux_only
+def test_children_are_killed_and_reaped_when_the_parent_range_raises(tmp_path, capsys,
+                                                                     monkeypatch, forks):
+    from riskbench.errors import NumericalError
+
+    def chunk_failing_here(shared, chunk):
+        if chunk.start == 0:
+            raise NumericalError("the first range cannot be fitted")
+        time.sleep(120)  # in a child: only a kill ends it in time
+
+    monkeypatch.setattr("riskbench.cli._run_chunk", chunk_failing_here)
+    start = time.monotonic()
+    assert run_cli(*FORK_ARGS, "--jobs", "3", "--out", str(tmp_path / "bt")) == 4
+    assert time.monotonic() - start < 60
+    assert capsys.readouterr().err == "numerical error: the first range cannot be fitted\n"
+    assert len(forks) == 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert_no_child_left()
+
+
+def test_console_entry_writes_whole_outputs_with_the_heap_frozen_at_exit(tmp_path):
+    # The console script runs sys.exit(main()); the handler registered
+    # before riskbench.cli is imported runs after its gc.freeze.
+    import riskbench
+
+    entry = ("import atexit, gc, os, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
+             "                              file=sys.stderr))\n"
+             "if hasattr(os, 'sched_getaffinity'):\n"
+             "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "from riskbench.cli import main\n"
+             "sys.exit(main())\n")
+    src = str(Path(riskbench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    backtest = ["backtest", "--scenario", "pmvn", "--k", "3", "--t", "300", "--window", "250",
+                "--replications", "4", "--seed", "2"]
+    simulate = ["simulate", "--scenario", "dcc", "--k", "3", "--t", "2000", "--seed", "2"]
+    for argv, out, last_line in (
+            (backtest + ["--jobs", "2"], tmp_path / "bt",
+             f"wrote 32 report rows to {tmp_path / 'bt' / 'report.csv'} and zone proportions "
+             f"to {tmp_path / 'bt' / 'aggregate.json'}"),
+            (simulate, tmp_path / "s.csv", f"wrote 2000 x 3 dcc returns to {tmp_path / 's.csv'} "
+                                           "(seed 2)")):
+        proc = subprocess.run([sys.executable, "-c", entry, *argv, "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+        assert proc.stdout.endswith(last_line + "\n")
+    assert run_cli(*backtest, "--out", str(tmp_path / "bt1")) == 0
+    assert run_cli(*simulate, "--out", str(tmp_path / "s1.csv")) == 0
+    for name in ("report.csv", "aggregate.json"):
+        assert (tmp_path / "bt" / name).read_bytes() == (tmp_path / "bt1" / name).read_bytes()
+    for name in ("s.csv", "s.csv.meta.json"):
+        one = name.replace("s.csv", "s1.csv")
+        assert (tmp_path / name).read_bytes() == (tmp_path / one).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["backtest", "estimate"])
+def test_empty_method_list_exits_2(tmp_path, capsys, command):
+    (tmp_path / "c.ini").write_text(f"[{command}]\nmethods =\n")
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", str(tmp_path / "c.ini"), "--scenario", "mvn", "--k", "2",
+                   "--t", "300", "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        f"error: {command}.methods is empty; give at least one method\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "backtest", "estimate"])

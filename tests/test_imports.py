@@ -1,7 +1,8 @@
 """Import hygiene: the simulate path loads neither scipy nor the process
-pool, the package's lazily loaded names all resolve, and every command runs
-with scipy refused, with the same output bytes. Each check runs in a fresh
-interpreter, because the test process has imported everything already."""
+pool, a forked ``--jobs`` backtest loads no process pool, the package's
+lazily loaded names all resolve, and every command runs with scipy refused,
+with the same output bytes. Each check runs in a fresh interpreter, because
+the test process has imported everything already."""
 
 import json
 import os
@@ -49,6 +50,23 @@ def test_simulate_and_version_load_no_scipy(tmp_path):
         print(json.dumps(seen))
     """, tmp_path)
     assert loaded == {"import": [], "--version": [], "simulate": []}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+def test_forked_backtest_loads_no_process_pool(tmp_path):
+    seen = run_fresh_python("""
+        import contextlib, io, json, os, sys
+        os.sched_getaffinity = lambda pid: {0, 1}
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        from riskbench.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["backtest", "--scenario", "mvn", "--k", "2", "--t", "260",
+                         "--method", "sample", "--replications", "2", "--jobs", "2",
+                         "--out", "bt"])
+        print(json.dumps([code, len(forks), "concurrent.futures.process" in sys.modules]))
+    """, tmp_path)
+    assert seen == [0, 1, False]
 
 
 def test_lazy_package_names_resolve():
