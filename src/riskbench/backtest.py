@@ -5,7 +5,7 @@ For every evaluation day the configured estimators are fit on the trailing
 window and priced for the next day; the realized return of a day is never
 visible to its own forecast. A method has a ``label``, ``validate(window,
 k)``, ``batch_predictive`` and ``day_predictive``. One driver serves
-``rolling_forecasts``, ``estimate_series``, ``run_backtest`` and
+``rolling_forecasts``, ``estimate_arrays``, ``run_backtest`` and
 ``run_backtests``. It takes a stack of return histories (one for all but
 ``run_backtests``) and checks preconditions once per run: each method's
 ``validate`` once, and each history's length against the window. The
@@ -27,7 +27,7 @@ history is taken in.
 The driver hands back, per history and method, either its forecasts or the
 day and error of its first failure (day -1 for a failed precondition).
 ``run_backtest`` lists every failing method and scores the others;
-``estimate_series`` raises the error with the earliest day, the earliest
+``estimate_arrays`` raises the error with the earliest day, the earliest
 method on a tie, as a day-major scalar loop would; ``rolling_forecasts``
 raises its one method's error. The exceedance count is then scored against
 the binomial null and classified Green / Amber / Red at the 95% and 99.99%
@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .conjugate import RiskEstimate, RiskMeasure, _predictive_risk, _require_cvar_df
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, NumericalError, ParameterError, ValidationError
 from .returns import PortfolioWeights, ReturnWindow, stacked_moments
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "classify_zone",
     "traffic_light",
     "realized_portfolio_returns",
+    "estimate_arrays",
     "estimate_series",
     "run_backtest",
     "run_backtests",
@@ -78,7 +79,7 @@ _SEGMENT_BYTES = 1 << 20
 def _day_bytes(k: int) -> int:
     return 8 * (k * k + 10 * k + 30)
 
-# Backtesting scores VaR forecasts; CVaR is only exported by estimate_series.
+# Backtesting scores VaR forecasts; CVaR is only exported by estimate_arrays.
 _VAR = (RiskMeasure.VAR,)
 
 
@@ -335,20 +336,26 @@ def traffic_light(c: int, days: int, alpha: float, method: str = "") -> Backtest
 
 
 def realized_portfolio_returns(returns, weights: PortfolioWeights, start_day: int) -> np.ndarray:
-    """Realized portfolio returns for days start_day..T0 (1-based, inclusive)."""
-    return _as_matrix(returns, weights)[start_day - 1:] @ weights.w
+    """Realized portfolio returns for days start_day..T0 (1-based, inclusive);
+    one that is not finite (an overflow) is a :class:`NumericalError` naming its day."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        realized = _as_matrix(returns, weights)[start_day - 1:] @ weights.w
+    bad = np.flatnonzero(~np.isfinite(realized))
+    if bad.size:
+        raise NumericalError(f"realized portfolio return on day {start_day + bad[0]} is not "
+                             f"finite: {float(realized[bad[0]])!r}")
+    return realized
 
 
-def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,
+def estimate_arrays(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,
                     asset_ids=None):
-    """Daily VaR and CVaR series for plotting or export.
-
-    For each evaluation day (window+1 .. T0, 1-based) every method is fit
-    once and priced at each configured level for both measures. Returns a
-    list of ``(day, realized_return, estimates)`` with ``estimates`` a dict
-    keyed by ``(method_label, alpha, measure)``. A failing day raises, as the
-    day-major scalar loop would: the first bad day, first method on it.
-    """
+    """Daily VaR and CVaR series as ``(keys, realized, values)``: on each
+    evaluation day (window+1 .. T0, 1-based) every method is fit once and
+    priced at every level and measure, column j of ``values`` being the series
+    of ``keys[j] = (method_label, alpha, measure)``; ``realized`` holds each
+    day's portfolio return, its own row's dot product (inf where it overflows).
+    A failing day raises as the day-major scalar loop would: the first bad
+    day, first method on it."""
     measures = (RiskMeasure.VAR, RiskMeasure.CVAR)
     [(returns, values)] = _forecasts([returns], weights, cfg, methods, measures, asset_ids)
     errors = [v for v in values if isinstance(v, tuple)]
@@ -357,10 +364,18 @@ def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, meth
     keys = [(m.label, a, measure) for m in methods for a in cfg.levels for measure in measures]
     days = returns.shape[0] - cfg.window
     flat = np.stack(values, axis=1).reshape(days, -1) if methods else np.empty((days, 0))
-    return [
-        (t + 1, float(returns[t] @ weights.w), dict(zip(keys, row.tolist())))
-        for t, row in zip(range(cfg.window, returns.shape[0]), flat)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        realized = np.array([row @ weights.w for row in returns[cfg.window:]])
+    return keys, realized, flat
+
+
+def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,
+                    asset_ids=None):
+    """:func:`estimate_arrays` as one ``(day, realized_return, estimates)`` per
+    evaluation day, ``estimates`` a dict keyed by ``(method_label, alpha, measure)``."""
+    keys, realized, values = estimate_arrays(returns, weights, cfg, methods, asset_ids)
+    return [(cfg.window + day + 1, r, dict(zip(keys, row)))
+            for day, (r, row) in enumerate(zip(realized.tolist(), values.tolist()))]
 
 
 def run_backtest(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -58,13 +58,7 @@ from .simulate import (
 )
 
 SEED_ENV_VAR = "RISKBENCH_SEED"
-DEFAULT_SEED = 0
-DEFAULT_T0 = 500
-DEFAULT_K = 5
-DEFAULT_WINDOW = 250
-DEFAULT_LEVELS = "0.975,0.99"
 DEFAULT_METHODS = ["vs(4,2,0)", "vs(4,0,0)", "eb", "sample"]
-DEFAULT_START_DATE = "2020-01-01"
 
 REPORT_HEADER = "replication,portfolio,method,alpha,exceedances,cum_prob,zone,runtime_ms"
 
@@ -74,6 +68,93 @@ atexit.register(gc.freeze)
 # ---------------------------------------------------------------------------
 # configuration handling
 
+
+def _float(raw) -> float:
+    """One finite number."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {raw!r}")
+    return value
+
+
+def _floats(raw) -> tuple[float, ...]:
+    """Finite numbers separated by commas and/or whitespace."""
+    return tuple(_float(p) for p in str(raw).replace(",", " ").split())
+
+
+def _levels(raw) -> tuple[float, ...]:
+    """VaR levels, checked as :class:`~riskbench.backtest.RollingConfig` checks them."""
+    from .backtest import RollingConfig
+
+    return RollingConfig(levels=_floats(raw)).levels
+
+
+def _choice(*names):
+    """A conversion to one of ``names``, in any letter case."""
+    def choice(raw) -> str:
+        if str(raw).lower() not in names:
+            raise ValidationError(f"unknown value {raw!r}; expected one of {', '.join(names)}")
+        return str(raw).lower()
+    return choice
+
+
+def _specs(raw) -> list[str]:
+    """Method specs: a config value's words, or the repeated flag's list."""
+    return raw.split() if isinstance(raw, str) else raw
+
+
+_date = dt.date.fromisoformat
+_KIND_NAMES = {int: "an integer", _float: "a finite number", _floats: "a list of finite numbers",
+               _levels: "a list of finite numbers", _date: "an ISO-8601 date"}
+
+
+# A config key's default (used as is), conversion of a flag's text or a config
+# value, least value, flag help (``{default}`` shows the default), flag when
+# not ``--key``, and environment variable read when neither sets the key.
+_Setting = namedtuple("_Setting", "default kind least help flag env",
+                      defaults=(None, str, None, "", None, None))
+
+
+_SETTINGS = {
+    # The command keys. Each is also a flag of every command whose section takes it.
+    "input": _Setting(help="input return/price CSV (mutually exclusive with --scenario)"),
+    "scenario": _Setting("mvn", _choice(*SCENARIOS), help=(
+        f"scenario to simulate: {', '.join(SCENARIOS)} (default {{default}} for simulate; "
+        "backtest and estimate need it or --input)")),
+    "k": _Setting(5, int, 1, "number of assets (default {default}; scenario input)"),
+    "t": _Setting(500, int, 2, "path length in days (default {default}; scenario input)"),
+    "seed": _Setting(0, int, 0, f"RNG seed (fallback: ${SEED_ENV_VAR}, then {{default}})",
+                     env=SEED_ENV_VAR),
+    "start_date": _Setting(dt.date(2020, 1, 1), _date,
+                           help="first output date (default {default})"),
+    "window": _Setting(250, int, 2, "rolling window length (default {default})"),
+    "levels": _Setting((0.975, 0.99), _levels, flag="--alpha",
+                       help="comma-separated VaR levels (default {default})"),
+    "methods": _Setting(DEFAULT_METHODS, _specs, flag="--method", help=(
+        "estimator spec, repeatable: vs(n_r,h,l[,r0]) (bare vs = vs(4,2,0)), eb[(d0,r0)] or "
+        "sample; d0 and r0 default to the window length")),
+    "mode": _Setting("returns", _choice("returns", "prices"),
+                     help="input CSV interpretation: returns or prices (default {default})"),
+    "weights": _Setting("equal", help="'equal' or a CSV of asset,weight rows (default {default})"),
+    "out": _Setting(help="output path"),
+    "replications": _Setting(1, int, 1, "number of simulated replications (default {default})"),
+    "jobs": _Setting(1, int, 1, "worker processes, at most one per usable CPU and replication "
+                                "(default {default})"),
+    # The scenario keys, config only. Their defaults are round illustrative
+    # numbers, not fitted to market data; the pmvn keys default to PmvnParams'.
+    "mean": _Setting((0.0005,), _floats),
+    "vol": _Setting((0.01,), _floats),
+    "correlation": _Setting(0.3, _float),
+    "period_lengths": _Setting(None, _floats),
+    "regime_probs": _Setting(None, _floats),
+    "low_scale": _Setting(None, _floats),
+    "high_scale": _Setting(None, _floats),
+    "omega": _Setting((5e-6,), _floats),
+    "arch": _Setting((0.05,), _floats),
+    "garch": _Setting((0.9,), _floats),
+    "theta1": _Setting(0.05, _float),
+    "theta2": _Setting(0.9, _float),
+}
 
 # The keys each config section takes, whether or not a given run reads them
 # (``k`` is read only with a scenario input, for example).
@@ -120,58 +201,33 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
         except UnicodeDecodeError:
             raise ValidationError(f"config file {path} is not UTF-8 text") from None
         _check_config_keys(parser, path)
+        for section in set(_CONFIG_KEYS).difference(parser.sections()):  # so [DEFAULT] reaches it
+            parser.add_section(section)
     return parser
 
 
-def _float(raw) -> float:
-    """One finite number."""
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {raw!r}")
-    return value
-
-
-def _floats(raw) -> tuple[float, ...]:
-    """Finite numbers separated by commas and/or whitespace."""
-    return tuple(_float(p) for p in str(raw).replace(",", " ").split())
-
-
-_KIND_NAMES = {int: "an integer", _float: "a finite number", _floats: "a list of finite numbers"}
-
-
-def _cfg_get(cfg: configparser.ConfigParser, section: str, key: str, flag_value, default,
-             kind=None, at_least=None):
-    """Resolution order: explicit flag, config file value, default.
-
-    ``kind`` (``int``, ``_float`` or ``_floats``) converts the value; a value
-    it rejects, or one below ``at_least``, is a :class:`ValidationError`
-    naming ``section.key``.
-    """
-    raw = flag_value if flag_value is not None else cfg.get(section, key, fallback=default)
-    if kind is None or raw is None:
-        return raw
+def _get(cfg: configparser.ConfigParser, args, section: str, key: str):
+    """``section.key``: its flag, else its config value, else its environment
+    variable if it has one, else its default. Each but the default goes
+    through the key's conversion; a value it refuses, or one below the key's
+    least value, is a :class:`ValidationError` naming where it came from."""
+    setting, where = _SETTINGS[key], f"{section}.{key}"
+    raw = getattr(args, key, None)
     try:
-        value = kind(raw)
+        if raw is None:
+            raw = cfg.get(section, key, fallback=None)
+        if raw is None and setting.env:
+            raw, where = os.environ.get(setting.env), setting.env
+        if raw is None:
+            return setting.default
+        value = setting.kind(raw)
+    except (ValidationError, configparser.Error) as exc:  # configparser: a bad %-interpolation
+        raise ValidationError(f"{where}: {exc}") from None
     except (TypeError, ValueError):
-        raise ValidationError(
-            f"{section}.{key} must be {_KIND_NAMES[kind]}, got {raw!r}"
-        ) from None
-    if at_least is not None and value < at_least:
-        raise ValidationError(f"{section}.{key} must be at least {at_least}, got {value}")
+        raise ValidationError(f"{where} must be {_KIND_NAMES[setting.kind]}, got {raw!r}") from None
+    if setting.least is not None and value < setting.least:
+        raise ValidationError(f"{where} must be at least {setting.least}, got {value}")
     return value
-
-
-def _resolve_seed(cfg: configparser.ConfigParser, section: str, flag_value) -> int:
-    seed = _cfg_get(cfg, section, "seed", flag_value, None, int, at_least=0)
-    if seed is not None:
-        return seed
-    raw = os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
-    try:
-        if int(raw) >= 0:
-            return int(raw)
-    except ValueError:
-        pass
-    raise ValidationError(f"{SEED_ENV_VAR} must be a non-negative integer, got {raw!r}")
 
 
 def _vector(values: tuple[float, ...], k: int, what: str) -> np.ndarray:
@@ -192,19 +248,15 @@ def _correlation_matrix(rho: float, k: int) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # MvnParams refuses a non-finite covariance
 def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
-    """Build generator params for a scenario from its config section.
-
-    Shipped defaults are synthetic illustrative values (round numbers), not
-    fitted to any market data: 5 bp daily drift, 1% daily vol, constant 0.3
-    correlation, and mildly persistent GARCH dynamics for the dcc scenario.
-    """
+    """Build generator params for a scenario from its config section; the
+    defaults are those of ``_SETTINGS``."""
     section = f"scenario.{scenario}"
 
-    def get(key, default, kind=_floats):
-        return _cfg_get(cfg, section, key, None, default, kind)
+    def get(key):
+        return _get(cfg, None, section, key)
 
-    def vector(key, default):
-        return _vector(get(key, default), k, f"{section}.{key}")
+    def vector(key):
+        return _vector(get(key), k, f"{section}.{key}")
 
     def named(keys, build, *args, **kwargs):
         """``build(*args, **kwargs)``, its error prefixed with the config keys it reads."""
@@ -213,33 +265,40 @@ def _scenario_params(cfg: configparser.ConfigParser, scenario: str, k: int):
         except (ValidationError, NumericalError) as exc:
             raise type(exc)(" and ".join(f"{section}.{key}" for key in keys) + f": {exc}") from None
 
-    mean = vector("mean", "0.0005")
-    corr = named(["correlation"], _correlation_matrix, get("correlation", "0.3", _float), k)
+    mean = vector("mean")
+    corr = named(["correlation"], _correlation_matrix, get("correlation"), k)
     if scenario in ("mvn", "pmvn"):
-        vol = vector("vol", "0.01")
+        vol = vector("vol")
         if not (vol > 0).all():
             raise ValidationError(f"{section}.vol entries must be positive")
         base = named(["vol", "correlation"], MvnParams, mu=mean, sigma=corr * np.outer(vol, vol))
         if scenario == "mvn":
             return base
-        # Each key replaces a shipped default of a valid PmvnParams in turn, so
-        # that an error names its own key.
+        # Each key set in the config replaces a field of a valid PmvnParams
+        # in turn, so that an error names its own key.
         params = PmvnParams(base=base)
-        for key, field, default in (("period_lengths", "period_lengths", "3,4,5"),
-                                    ("regime_probs", "regime_probs", "0.05,0.9,0.05"),
-                                    ("low_scale", "low_scale_range", "0.5,0.7"),
-                                    ("high_scale", "high_scale_range", "1.5,3.0")):
-            params = named([key], replace, params, **{field: get(key, default)})
+        for key, field in (("period_lengths", "period_lengths"), ("regime_probs", "regime_probs"),
+                           ("low_scale", "low_scale_range"), ("high_scale", "high_scale_range")):
+            value = get(key)
+            if value is not None:
+                params = named([key], replace, params, **{field: value})
         return params
     # Likewise each group of keys joins a valid DccParams with constant
     # variances and correlations (a = b = theta1 = theta2 = 0) in turn.
     params = DccParams(mu=mean, omega=np.ones(k), a=np.zeros(k), b=np.zeros(k), qbar=corr,
                        theta1=0.0, theta2=0.0)
-    params = named(["omega"], replace, params, omega=vector("omega", "5e-6"))
-    params = named(["arch", "garch"], replace, params, a=vector("arch", "0.05"),
-                   b=vector("garch", "0.9"))
-    return named(["theta1", "theta2"], replace, params, theta1=get("theta1", "0.05", _float),
-                 theta2=get("theta2", "0.9", _float))
+    params = named(["omega"], replace, params, omega=vector("omega"))
+    params = named(["arch", "garch"], replace, params, a=vector("arch"), b=vector("garch"))
+    return named(["theta1", "theta2"], replace, params, theta1=get("theta1"),
+                 theta2=get("theta2"))
+
+
+def _scenario_request(cfg: configparser.ConfigParser, args, section: str, seed: int) -> SimRequest:
+    """The section's scenario, ``k`` and ``t`` at ``seed``, params from the scenario's section."""
+    scenario = _get(cfg, args, section, "scenario")
+    k = _get(cfg, args, section, "k")
+    t0 = _get(cfg, args, section, "t")
+    return SimRequest(scenario, t0, k, seed, _scenario_params(cfg, scenario, k))
 
 
 def _jsonable(obj):
@@ -256,49 +315,32 @@ def _jsonable(obj):
 # simulate
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    scenario = str(_cfg_get(cfg, "simulate", "scenario", args.scenario, "mvn")).lower()
-    if scenario not in SCENARIOS:
-        raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-    k = _cfg_get(cfg, "simulate", "k", args.k, DEFAULT_K, int, at_least=1)
-    t0 = _cfg_get(cfg, "simulate", "t", args.t, DEFAULT_T0, int)
-    seed = _resolve_seed(cfg, "simulate", args.seed)
-    start_raw = str(_cfg_get(cfg, "simulate", "start_date", args.start_date, DEFAULT_START_DATE))
-    try:
-        start = dt.date.fromisoformat(start_raw)
-    except ValueError:
-        raise ValidationError(f"start date must be ISO-8601, got {start_raw!r}") from None
-    out = _cfg_get(cfg, "simulate", "out", args.out, None)
-    if out is None:
-        raise ValidationError("simulate needs an output path (--out)")
-
-    params = _scenario_params(cfg, scenario, k)
-    req = SimRequest(scenario=scenario, t0=t0, k=k, seed=seed, params=params)
-    dates = weekday_dates(start, t0)  # a calendar overflow fails before simulating
+def cmd_simulate(cfg, args, out_path: Path) -> int:
+    req = _scenario_request(cfg, args, "simulate", _get(cfg, args, "simulate", "seed"))
+    start = _get(cfg, args, "simulate", "start_date")
+    dates = weekday_dates(start, req.t0)  # a calendar overflow fails before simulating
     meta = {
         "command": "simulate",
-        "scenario": scenario,
-        "k": k,
-        "t0": t0,
-        "seed": seed,
+        "scenario": req.scenario,
+        "k": req.k,
+        "t0": req.t0,
+        "seed": req.seed,
         "start_date": start.isoformat(),
-        "params": params,
+        "params": req.params,
         "version": __version__,
     }
-    if scenario == "pmvn":
+    if req.scenario == "pmvn":
         data, meta["periods"] = simulate_pmvn_detail(req)
     else:
         data = simulate(req)
 
-    out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    asset_ids = tuple(f"A{i + 1}" for i in range(k))
+    asset_ids = tuple(f"A{i + 1}" for i in range(req.k))
     write_returns_csv(out_path, data, asset_ids, dates)
     with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")
-    print(f"wrote {t0} x {k} {scenario} returns to {out_path} (seed {seed})")
+    print(f"wrote {req.t0} x {req.k} {req.scenario} returns to {out_path} (seed {req.seed})")
     return 0
 
 
@@ -453,51 +495,42 @@ def _resolve_backtest_inputs(cfg, args, section: str):
     from .backtest import RollingConfig
     from .estimators import parse_methods
 
-    input_path = _cfg_get(cfg, section, "input", args.input, None)
-    scenario = _cfg_get(cfg, section, "scenario", args.scenario, None)
-    if input_path is not None and scenario is not None:
-        raise ValidationError("give either an input CSV or a scenario, not both")
-    if input_path is None and scenario is None:
-        raise ValidationError("either an input CSV (--input) or a scenario (--scenario) is required")
+    input_path = _get(cfg, args, section, "input")
+    simulated = args.scenario is not None or cfg.has_option(section, "scenario")
+    if simulated == (input_path is not None):
+        raise ValidationError("exactly one of an input CSV (--input) and a scenario (--scenario) "
+                              "is required")
 
-    window = _cfg_get(cfg, section, "window", args.window, DEFAULT_WINDOW, int)
-    levels = _cfg_get(cfg, section, "levels", args.alpha, DEFAULT_LEVELS, _floats)
-    rolling = RollingConfig(window=window, levels=levels)
+    window = _get(cfg, args, section, "window")
+    rolling = RollingConfig(window=window, levels=_get(cfg, args, section, "levels"))
     labels = [fmt_number(alpha) for alpha in rolling.levels]
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ValidationError(f"{section}.levels repeat {', '.join(repeated)} "
                               "(levels are printed with 12 significant digits)")
 
-    methods = tuple(parse_methods(
-        args.method or cfg.get(section, "methods", fallback=" ".join(DEFAULT_METHODS)).split()))
+    methods = tuple(parse_methods(_get(cfg, args, section, "methods")))
     if not methods:
         raise ValidationError(f"{section}.methods is empty; give at least one method")
 
-    seed = _resolve_seed(cfg, section, args.seed)
-    mode = str(_cfg_get(cfg, section, "mode", args.mode, "returns"))
-    weights_spec = str(_cfg_get(cfg, section, "weights", args.weights, "equal"))
+    seed = _get(cfg, args, section, "seed")
+    mode = _get(cfg, args, section, "mode")
 
-    history = None
+    history = request = None
     if input_path is not None:
         history = ingest_returns(input_path, mode=mode)
         t0, k = history.data.shape
         asset_ids = history.asset_ids
     else:
-        scenario = str(scenario).lower()
-        if scenario not in SCENARIOS:
-            raise ValidationError(f"unknown scenario {scenario!r}; expected one of {list(SCENARIOS)}")
-        k = _cfg_get(cfg, section, "k", args.k, DEFAULT_K, int, at_least=1)
-        t0 = _cfg_get(cfg, section, "t", args.t, DEFAULT_T0, int)
+        request = _scenario_request(cfg, args, section, seed)
+        t0, k = request.t0, request.k
         asset_ids = tuple(f"A{i + 1}" for i in range(k))
-        params = _scenario_params(cfg, scenario, k)
 
     if t0 <= window:
         raise ValidationError(f"history length {t0} must exceed the rolling window {window}")
     for method in methods:
         method.validate(window, k)
-    weights = load_weights(weights_spec, asset_ids)
-    request = SimRequest(scenario, t0, k, seed, params) if history is None else None
+    weights = load_weights(_get(cfg, args, section, "weights"), asset_ids)
 
     return {
         "history": history,
@@ -509,17 +542,12 @@ def _resolve_backtest_inputs(cfg, args, section: str):
     }
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(cfg, args, out_dir: Path) -> int:
     from .backtest import Zone
 
-    cfg = _load_config(args.config)
     inputs = _resolve_backtest_inputs(cfg, args, "backtest")
-    out = _cfg_get(cfg, "backtest", "out", args.out, None)
-    if out is None:
-        raise ValidationError("backtest needs an output directory (--out)")
-    jobs = _cfg_get(cfg, "backtest", "jobs", args.jobs, 1, int, at_least=1)
-    replications = _cfg_get(cfg, "backtest", "replications", args.replications, 1, int,
-                            at_least=1)
+    jobs = _get(cfg, args, "backtest", "jobs")
+    replications = _get(cfg, args, "backtest", "replications")
 
     if inputs["history"] is not None and replications != 1:
         raise ValidationError("replications > 1 requires a scenario input")
@@ -538,7 +566,6 @@ def cmd_backtest(args) -> int:
     if fails and not rows:
         raise fails[0][2]  # every method failed on every replication
 
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.csv"
     with open(report_path, "w", newline="\n", encoding="utf-8") as fh:
@@ -572,39 +599,23 @@ def cmd_backtest(args) -> int:
 # estimate
 
 
-def cmd_estimate(args) -> int:
-    from .backtest import estimate_series
-    from .conjugate import RiskMeasure
+def cmd_estimate(cfg, args, out_path: Path) -> int:
+    from .backtest import estimate_arrays
 
-    cfg = _load_config(args.config)
     inputs = _resolve_backtest_inputs(cfg, args, "estimate")
-    out = _cfg_get(cfg, "estimate", "out", args.out, None)
-    if out is None:
-        raise ValidationError("estimate needs an output path (--out)")
 
     returns = _replication(inputs, 0)
     dates = (inputs["history"].dates if inputs["history"] is not None
-             else weekday_dates(dt.date.fromisoformat(DEFAULT_START_DATE), len(returns)))
+             else weekday_dates(_SETTINGS["start_date"].default, len(returns)))
+    keys, realized, values = estimate_arrays(returns, inputs["weights"], inputs["rolling"],
+                                             inputs["methods"], inputs["asset_ids"])
+    columns = ["return"] + [f"neg_{measure.value}:{label}:{fmt_number(alpha)}"
+                            for label, alpha, measure in keys]
 
-    series = estimate_series(returns, inputs["weights"], inputs["rolling"], inputs["methods"],
-                             inputs["asset_ids"])
-    columns = [(method.label, alpha, measure) for method in inputs["methods"]
-               for alpha in inputs["rolling"].levels
-               for measure in (RiskMeasure.VAR, RiskMeasure.CVAR)]
-
-    out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "return"] + [
-            f"neg_{measure.value}:{label}:{fmt_number(alpha)}" for label, alpha, measure in columns
-        ])
-        writer.writerows(
-            [dates[day - 1].isoformat(), fmt_number(realized)]
-            + [fmt_number(-estimates[column]) for column in columns]
-            for day, realized, estimates in series
-        )
-    print(f"wrote {len(series)} daily estimate rows to {out_path}")
+    write_returns_csv(out_path, np.column_stack([realized, -values]), columns,
+                      dates[inputs["rolling"].window:])
+    print(f"wrote {len(realized)} daily estimate rows to {out_path}")
     return 0
 
 
@@ -612,31 +623,9 @@ def cmd_estimate(args) -> int:
 # argument parsing
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override file values, and an unknown "
-                   "section or key exits 2")
-    p.add_argument("--seed", type=int, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then {DEFAULT_SEED})")
-    p.add_argument("--out", help="output path")
-
-
-def _add_estimation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="input return/price CSV (mutually exclusive with --scenario)")
-    p.add_argument("--scenario", choices=SCENARIOS, help="simulate the input instead of reading a CSV")
-    p.add_argument("--k", type=int, help="number of assets (scenario input)")
-    p.add_argument("--t", type=int, help="path length in days (scenario input)")
-    p.add_argument("--window", type=int, help=f"rolling window length (default {DEFAULT_WINDOW})")
-    p.add_argument("--alpha", help=f"comma-separated VaR levels (default {DEFAULT_LEVELS})")
-    p.add_argument(
-        "--method",
-        action="append",
-        help="estimator spec, repeatable: vs(n_r,h,l[,r0]) (bare vs = vs(4,2,0)), "
-             "eb[(d0,r0)] or sample; d0 and r0 default to the window length",
-    )
-    p.add_argument("--mode", choices=("returns", "prices"), help="input CSV interpretation")
-    p.add_argument("--weights", help="'equal' or a CSV of asset,weight rows (default equal)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command section, with a ``--config`` flag and one
+    flag per key of the section (see ``_SETTINGS``)."""
     # No abbreviated flags: each flag has one spelling, and --h is not read as --help.
     parser = argparse.ArgumentParser(
         prog="riskbench",
@@ -645,41 +634,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"riskbench {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate a synthetic return CSV", allow_abbrev=False)
-    _add_common_flags(p_sim)
-    p_sim.add_argument("--scenario", choices=SCENARIOS, help="generator (default mvn)")
-    p_sim.add_argument("--k", type=int, help=f"number of assets (default {DEFAULT_K})")
-    p_sim.add_argument("--t", type=int, help=f"path length in days (default {DEFAULT_T0})")
-    p_sim.add_argument("--start-date", help=f"first output date (default {DEFAULT_START_DATE})")
-
-    p_back = sub.add_parser("backtest", help="rolling backtest with traffic-light reports",
-                            allow_abbrev=False)
-    _add_common_flags(p_back)
-    _add_estimation_flags(p_back)
-    p_back.add_argument("--replications", type=int, help="number of simulated replications (default 1)")
-    p_back.add_argument("--jobs", type=int, help="worker processes, at most one per usable CPU "
-                        "and replication (default 1)")
-    p_back.add_argument(
-        "--timing",
-        action="store_true",
-        help="record runtime_ms: fitting wall time of each worker's replications, all methods "
-             "together, divided by its replications",
-    )
-
-    p_est = sub.add_parser("estimate", help="export daily -VaR/-CVaR series", allow_abbrev=False)
-    _add_common_flags(p_est)
-    _add_estimation_flags(p_est)
-
+    for command, about in (("simulate", "generate a synthetic return CSV"),
+                           ("backtest", "rolling backtest with traffic-light reports"),
+                           ("estimate", "export daily -VaR/-CVaR series")):
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
+        p.add_argument("--config", help="INI config file; flags override file values, and an "
+                       "unknown section or key exits 2")
+        for key in _CONFIG_KEYS[command]:
+            setting = _SETTINGS[key]
+            default = setting.default
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            flag = setting.flag or "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, metavar=flag[2:].upper().replace("-", "_"),
+                           action="append" if setting.kind is _specs else "store",
+                           help=setting.help.format(default=shown))
+        if command == "backtest":
+            p.add_argument("--timing", action="store_true", help=(
+                "record runtime_ms: fitting wall time of each worker's replications, all methods "
+                "together, divided by its replications"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"simulate": cmd_simulate, "backtest": cmd_backtest, "estimate": cmd_estimate}
     try:
-        return handlers[args.command](args)
+        cfg = _load_config(args.config)
+        out = _get(cfg, args, args.command, "out")
+        if out is None:
+            raise ValidationError(f"{args.command} needs an output path (--out)")
+        return handlers[args.command](cfg, args, Path(out))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ import pytest
 
 from riskbench import (
     DimensionError,
+    NumericalError,
     ParameterError,
+    PortfolioWeights,
     PredictiveParams,
     RiskEstimate,
     RiskMeasure,
@@ -205,6 +207,17 @@ def test_infinite_forecast_yields_no_exceedances():
     realized = realized_portfolio_returns(returns, equal_weights(2), 251)
     hits = hit_sequence(forecasts, realized)
     assert hits.exceedances == 0
+
+
+def test_non_finite_realized_return_is_a_numerical_error_naming_its_day():
+    rng = np.random.default_rng(2)
+    returns = rng.normal(0, 0.01, size=(300, 2))
+    returns[-1] = 1e308
+    weights = PortfolioWeights(np.array([3.0, -2.0]))
+    with pytest.raises(NumericalError, match=r"realized portfolio return on day 300 is not finite"):
+        realized_portfolio_returns(returns, weights, 251)
+    with pytest.raises(NumericalError, match=r"on day 300 is not finite"):
+        run_backtest(returns, weights, RollingConfig(window=250), [ConstantMethod(0.05)])
 
 
 def test_run_backtest_isolates_failing_methods():

@@ -692,6 +692,11 @@ def test_simulate_metadata_params(tmp_path, scenario, keys):
         assert set(meta["params"]["base"]) == {"mu", "sigma"}
         assert meta["params"]["base"]["sigma"] == [[1e-4, 3e-5], [3e-5, 1e-4]]
         assert meta["params"]["period_lengths"] == [3, 4, 5]
+        # keys the config does not set keep PmvnParams' own defaults
+        from riskbench import PmvnParams
+
+        for field in ("period_lengths", "regime_probs", "low_scale_range", "high_scale_range"):
+            assert meta["params"][field] == list(getattr(PmvnParams, field))
         assert {frozenset(p) for p in meta["periods"]} == {
             frozenset({"start", "length", "regime", "scales"})}
         assert all(len(p["scales"]) == 2 for p in meta["periods"])
@@ -820,6 +825,14 @@ def test_default_keys_and_keys_unused_by_the_run_are_accepted(tmp_path):
                    "sample", "--out", str(tmp_path / "bt")) == 0
 
 
+def test_default_keys_reach_a_section_the_file_leaves_out(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[DEFAULT]\nk = 2\nt = 30\n")
+    out = tmp_path / "r.csv"
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    assert read_csv(out)[0] == ["date", "A1", "A2"] and len(read_csv(out)) == 31
+
+
 def test_non_utf8_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_bytes(b"[simulate]\nk = 2\n; caf\xe9\n")
@@ -928,3 +941,169 @@ def test_every_run_ends_in_a_documented_exit_code(run):
         if code:
             assert err.splitlines()[-1].startswith(ERROR_PREFIXES)
             assert not out.exists()
+
+
+def write_returns(path, rows):
+    """A return CSV of ``rows`` on consecutive weekdays from 2021-01-01,
+    every cell as ``repr`` prints it."""
+    import datetime as dt
+
+    from riskbench.dataio import weekday_dates
+
+    lines = ["date," + ",".join(f"A{i + 1}" for i in range(rows.shape[1]))]
+    lines += [f"{date.isoformat()}," + ",".join(map(repr, row.tolist()))
+              for date, row in zip(weekday_dates(dt.date(2021, 1, 1), len(rows)), rows)]
+    path.write_text("\n".join(lines) + "\n")
+    return lines[-1].split(",")[0]
+
+
+@pytest.mark.parametrize("command, last_row, weights, message", [
+    # the last day's realized return overflows; every forecast is finite
+    ("estimate", (1.5e308, -1.5e308), (1.5, -0.5),
+     "numerical error: refusing to serialize non-finite value inf on {date} for asset 'return'"),
+    ("backtest", (1e308, 1e308), (3.0, -2.0),
+     "numerical error: realized portfolio return on day 300 is not finite: "),
+])
+def test_non_finite_realized_return_exits_4_and_writes_nothing(tmp_path, capsys, command,
+                                                               last_row, weights, message):
+    rows = np.random.default_rng(4).normal(0, 0.01, (300, 2))
+    rows[-1] = last_row
+    date = write_returns(tmp_path / "r.csv", rows)
+    (tmp_path / "w.csv").write_text(f"asset,weight\nA1,{weights[0]}\nA2,{weights[1]}\n")
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(tmp_path / "r.csv"), "--weights",
+                   str(tmp_path / "w.csv"), "--method", "sample", "--method", "eb",
+                   "--out", str(out)) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message.format(date=date)) and captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--k", "abc"], "simulate.k"),
+    (["simulate", "--t", "1"], "simulate.t"),
+    (["simulate", "--scenario", "foo"], "simulate.scenario"),
+    (["simulate", "--start-date", "x"], "simulate.start_date"),
+    (["backtest", "--scenario", "mvn", "--window", "1"], "backtest.window"),
+    (["backtest", "--scenario", "mvn", "--window", "2.5"], "backtest.window"),
+    (["backtest", "--scenario", "foo"], "backtest.scenario"),
+    (["backtest", "--scenario", "mvn", "--seed", "x"], "backtest.seed"),
+    (["estimate", "--scenario", "mvn", "--alpha", "0.99,0.3"], "estimate.levels"),
+    (["estimate", "--scenario", "mvn", "--alpha", ""], "estimate.levels"),
+    (["estimate", "--input", "r.csv", "--mode", "bogus"], "estimate.mode"),
+])
+def test_bad_flag_value_exits_2_naming_its_key(tmp_path, capsys, argv, key):
+    # a flag's text goes through the conversion of its config key
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_scenario_and_mode_are_read_in_any_letter_case(tmp_path):
+    for flags, config in ((["--scenario", "PMVN"], ""), ([], "[simulate]\nscenario = Pmvn\n")):
+        (tmp_path / "c.ini").write_text(config)
+        out = tmp_path / f"s{len(flags)}.csv"
+        assert run_cli("simulate", "--config", str(tmp_path / "c.ini"), *flags, "--k", "2", "--t",
+                       "300", "--out", str(out)) == 0
+        assert json.loads(Path(f"{out}.meta.json").read_text())["scenario"] == "pmvn"
+    assert run_cli("backtest", "--input", str(out), "--mode", "Returns", "--method", "sample",
+                   "--out", str(tmp_path / "bt")) == 0
+
+
+def test_readme_config_table_lists_the_keys_of_every_section():
+    from riskbench import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([\w.]+)` \| `([\w ]+)` \|$", readme, re.M)
+    assert len(rows) == len(cli._CONFIG_KEYS)
+    assert {section: keys.split() for section, keys in rows} == cli._CONFIG_KEYS
+
+
+COMMANDS = ["simulate", "backtest", "estimate"]
+# Values drawn for the property below: each key takes those its conversion or
+# least value refuses, and from a config file also any value with a bare %,
+# which configparser's interpolation refuses.
+CANDIDATE_VALUES = ["abc", "", "1.5", "0", "1", "-3", "nan", "inf", "1e400", "0.3", "0.99,1",
+                    "2020-13-01", "1,inf", "5%"]
+
+
+def bad_values(key, source):
+    from riskbench import cli
+
+    setting, bad = cli._SETTINGS[key], []
+    for value in CANDIDATE_VALUES:
+        if source == "config" and "%" in value:
+            bad.append(value)
+            continue
+        try:
+            converted = setting.kind(value)
+        except ValueError:
+            bad.append(value)
+            continue
+        if setting.least is not None and converted < setting.least:
+            bad.append(value)
+    return bad
+
+
+@st.composite
+def bad_setting_runs(draw):
+    """``(command, section, key, value, source)``: a run whose only bad
+    setting is ``section.key = value``, given in the config file or, for a
+    command key, as its flag."""
+    from riskbench import cli
+
+    section = draw(st.sampled_from(sorted(cli._CONFIG_KEYS)))
+    command = section if section in COMMANDS else draw(st.sampled_from(COMMANDS))
+    source = draw(st.sampled_from(["config", "flag"] if section in COMMANDS else ["config"]))
+    key = draw(st.sampled_from([key for key in cli._CONFIG_KEYS[section]
+                                if bad_values(key, source)]))
+    return command, section, key, draw(st.sampled_from(bad_values(key, source))), source
+
+
+@settings(max_examples=80, deadline=None)
+@given(bad_setting_runs())
+@example(("backtest", "backtest", "window", "1", "config"))
+@example(("backtest", "backtest", "levels", "0.99,0.3", "config"))
+@example(("estimate", "estimate", "levels", "", "config"))
+@example(("simulate", "simulate", "scenario", "foo", "config"))
+@example(("estimate", "estimate", "scenario", "foo", "config"))
+@example(("simulate", "simulate", "start_date", "x", "config"))
+@example(("simulate", "simulate", "t", "1", "config"))
+@example(("backtest", "backtest", "mode", "bogus", "config"))
+@example(("backtest", "backtest", "weights", "50%.csv", "config"))
+@example(("backtest", "backtest", "k", "abc", "flag"))
+@example(("backtest", "backtest", "scenario", "foo", "flag"))
+def test_a_bad_setting_exits_2_naming_its_key(run):
+    from riskbench import cli
+
+    command, section, key, value, source = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "o")
+        # a small valid run, all in the config file so that no flag overrides the bad value
+        values = {"scenario": section.removeprefix("scenario.") if section != command else "mvn",
+                  "k": "2", "t": "40", "out": str(out)}
+        if command != "simulate":
+            values |= {"window": "30", "methods": "sample"}
+            if key == "mode":  # read only with an input CSV, and refused before it is opened
+                values = {"input": str(Path(tmp, "r.csv")), "window": "30", "out": str(out)}
+        if command == "backtest":
+            values |= {"replications": "2", "jobs": "1"}
+        lines, argv = [f"[{command}]"], [command, "--config", str(Path(tmp, "run.ini"))]
+        if section == command and source == "flag":
+            setting = cli._SETTINGS[key]
+            argv += [setting.flag or "--" + key.replace("_", "-"), value]
+        elif section == command:
+            values[key] = value
+        else:
+            lines.append(f"[{section}]\n{key} = {value}")
+        lines[1:1] = [f"{name} = {text}" for name, text in values.items()]
+        Path(tmp, "run.ini").write_text("\n".join(lines) + "\n")
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"{section}.{key}" in err
+        assert stdout.getvalue() == "" and not out.exists()

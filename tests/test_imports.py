@@ -1,7 +1,8 @@
 """Import hygiene: the simulate path loads neither scipy nor the process
-pool, a forked ``--jobs`` backtest loads no process pool, the package's
-lazily loaded names all resolve, and every command runs with scipy refused,
-with the same output bytes. Each check runs in a fresh interpreter, because
+pool, a forked ``--jobs`` backtest loads no process pool, the pool that
+other platforms use writes the bytes of ``--jobs 1``, the package's lazily
+loaded names all resolve, and every command runs with scipy refused, with
+the same output bytes. Each check runs in a fresh interpreter, because
 the test process has imported everything already."""
 
 import json
@@ -67,6 +68,27 @@ def test_forked_backtest_loads_no_process_pool(tmp_path):
         print(json.dumps([code, len(forks), "concurrent.futures.process" in sys.modules]))
     """, tmp_path)
     assert seen == [0, 1, False]
+
+
+def test_process_pool_branch_writes_the_bytes_of_jobs_1(tmp_path):
+    # Off Linux the workers are a process pool, and macOS and Windows start
+    # its processes by spawn: each worker imports riskbench afresh and gets
+    # its chunk pickled.
+    seen = run_fresh_python("""
+        import contextlib, io, json, multiprocessing, os, sys
+        multiprocessing.set_start_method("spawn")
+        os.sched_getaffinity = lambda pid: {0, 1}
+        sys.platform = "darwin"
+        from riskbench.cli import main
+        args = ["backtest", "--scenario", "pmvn", "--k", "3", "--t", "300", "--window", "250",
+                "--replications", "4", "--seed", "7"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(args + ["--jobs", jobs, "--out", "jobs" + jobs]) for jobs in ("2", "1")]
+        print(json.dumps([codes, "concurrent.futures.process" in sys.modules]))
+    """, tmp_path)
+    assert seen == [[0, 0], True]
+    for name in ("report.csv", "aggregate.json"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
 def test_lazy_package_names_resolve():
