@@ -45,7 +45,7 @@ import numpy as np
 
 from .conjugate import RiskEstimate, RiskMeasure, _predictive_risk, _require_cvar_df
 from .errors import DimensionError, NumericalError, ParameterError, ValidationError
-from .returns import PortfolioWeights, ReturnWindow, stacked_moments
+from .returns import _SEGMENT_BYTES, PortfolioWeights, ReturnWindow, stacked_moments
 
 __all__ = [
     "Zone",
@@ -69,11 +69,10 @@ RED_THRESHOLD = 0.9999
 # The highest VaR level a rolling run accepts: up to it the t quantile is
 # tested against an independent reference within 1e-12 relative.
 MAX_LEVEL = 0.9999
-# Memory budget for one segment of days. A day's share (see _day_bytes) is
+# A segment of days fits in _SEGMENT_BYTES. A day's share (see _day_bytes) is
 # its (k, k) covariance, about ten (k,) vectors and thirty scalars across the
 # moments and the estimators' temporaries: at k = 5 a segment holds 1,248 days
 # (five of the README backtest's replications), at k = 50 it holds 43.
-_SEGMENT_BYTES = 1 << 20
 
 
 def _day_bytes(k: int) -> int:
@@ -178,8 +177,8 @@ def _fit_segment(pieces, batched, weights, cfg: RollingConfig, methods, measures
     ranges of histories, whose moments are stacked so that each of the
     ``batched`` methods runs once on all of them and one call prices all
     their predictives into the histories' ``values``."""
-    moments = stacked_moments([returns[start:stop + cfg.window]
-                               for _, returns, start, stop in pieces], cfg.window)
+    moments = stacked_moments([returns for _, returns, _, _ in pieces], cfg.window,
+                              [(start, stop) for _, _, start, stop in pieces])
     records = [methods[j].batch_predictive(moments, weights) for j in batched]
     priced = _predictive_risk(*map(np.concatenate, zip(*records)), cfg.levels, measures)
     bounds = np.cumsum([stop - start for _, _, start, stop in pieces])[:-1]
@@ -335,11 +334,18 @@ def traffic_light(c: int, days: int, alpha: float, method: str = "") -> Backtest
     )
 
 
+def _portfolio_returns(returns: np.ndarray, weights: PortfolioWeights) -> np.ndarray:
+    """Each row's ``w' r``, summed over the row's own products, so a day's
+    bits do not depend on its position in the history (inf or NaN where it
+    overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (returns * weights.w).sum(axis=1)
+
+
 def realized_portfolio_returns(returns, weights: PortfolioWeights, start_day: int) -> np.ndarray:
     """Realized portfolio returns for days start_day..T0 (1-based, inclusive);
     one that is not finite (an overflow) is a :class:`NumericalError` naming its day."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        realized = _as_matrix(returns, weights)[start_day - 1:] @ weights.w
+    realized = _portfolio_returns(_as_matrix(returns, weights)[start_day - 1:], weights)
     bad = np.flatnonzero(~np.isfinite(realized))
     if bad.size:
         raise NumericalError(f"realized portfolio return on day {start_day + bad[0]} is not "
@@ -353,7 +359,7 @@ def estimate_arrays(returns, weights: PortfolioWeights, cfg: RollingConfig, meth
     evaluation day (window+1 .. T0, 1-based) every method is fit once and
     priced at every level and measure, column j of ``values`` being the series
     of ``keys[j] = (method_label, alpha, measure)``; ``realized`` holds each
-    day's portfolio return, its own row's dot product (inf where it overflows).
+    day's portfolio return, summed over its own row (inf where it overflows).
     A failing day raises as the day-major scalar loop would: the first bad
     day, first method on it."""
     measures = (RiskMeasure.VAR, RiskMeasure.CVAR)
@@ -364,9 +370,7 @@ def estimate_arrays(returns, weights: PortfolioWeights, cfg: RollingConfig, meth
     keys = [(m.label, a, measure) for m in methods for a in cfg.levels for measure in measures]
     days = returns.shape[0] - cfg.window
     flat = np.stack(values, axis=1).reshape(days, -1) if methods else np.empty((days, 0))
-    with np.errstate(over="ignore", invalid="ignore"):
-        realized = np.array([row @ weights.w for row in returns[cfg.window:]])
-    return keys, realized, flat
+    return keys, _portfolio_returns(returns[cfg.window:], weights), flat
 
 
 def estimate_series(returns, weights: PortfolioWeights, cfg: RollingConfig, methods,

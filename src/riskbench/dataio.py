@@ -272,7 +272,7 @@ def write_returns_csv(path, data, asset_ids, dates) -> None:
         day, col = np.argwhere(bad)[0]
         raise NumericalError(
             f"refusing to serialize non-finite value {float(data[day, col])!r} "
-            f"on {dates[day].isoformat()} for asset {asset_ids[col]!r}"
+            f"on {dates[day].isoformat()} in column {asset_ids[col]!r}"
         )
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(["date", *asset_ids])

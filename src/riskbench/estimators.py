@@ -44,18 +44,11 @@ _FLOOR_MARGIN = 2.0
 _PIVOT_RTOL = 1e-8
 
 
-def _quad(mats: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w' M w`` for each matrix of a ``(days, k, k)`` stack, with ``w`` one
-    weight vector or one per day, as products summed over each day's own
-    rows: its bits depend neither on the other days nor on whether ``w`` is
-    shared."""
-    return ((mats * w[..., None, :]).sum(axis=-1) * w).sum(axis=-1)
-
-
 def _predictive(moments: RollingMoments, weights: PortfolioWeights, scale_sq, df, ok):
     """The ``(location, scale, df)`` of every day, NaN on the days that fail
     ``ok`` or whose ``scale_sq`` or ``df`` is not positive. The location
-    ``w' mean`` is summed over each day's own row, as in :func:`_quad`."""
+    ``w' mean`` is summed over each day's own row, as in ``w' cov w``
+    (:meth:`RollingMoments.portfolio_variance`)."""
     ok = ok & (scale_sq > 0) & (df > 0)
     location = (moments.mean * weights.w).sum(axis=1)
     return tuple(np.where(ok, x, np.nan) for x in (location, np.sqrt(scale_sq), df))
@@ -131,8 +124,8 @@ class VolatilitySensitive(VsConfig, _Estimator):
     def batch_predictive(self, moments: RollingMoments, weights: PortfolioWeights):
         """Every day's predictive ``(location, scale, df)``, NaN where the scalar path decides."""
         ratio = moments.short_std(self.n_r) / moments.std
-        v_w = _quad(moments.cov, weights.w)
-        v_rw = _quad(moments.cov, ratio * weights.w)
+        v_w = moments.portfolio_variance(weights.w)
+        v_rw = moments.portfolio_variance(weights.w, self.n_r)
         # ratio > 0 keeps D positive definite, so S0 is when cov is
         ok = (ratio > 0).all(axis=1) & (v_w > 0)
         high = np.maximum(1.0, v_rw / v_w) ** self.h
@@ -177,7 +170,7 @@ class EmpiricalBayes(_Estimator):
         n = float(moments.window)
         d0 = np.full(moments.days, n if self.d0 is None else float(self.d0))
         r0 = n if self.r0 is None else float(self.r0)
-        v_w = _quad(moments.cov, weights.w)
+        v_w = moments.portfolio_variance(weights.w)
         return _conjugate_batch(moments, weights, d0, v_w, v_w, r0)
 
 
@@ -209,7 +202,7 @@ class SampleNormal(_Estimator):
         where the portfolio std is within ``_FLOOR_MARGIN`` of its rounding
         floor ``sum |w_i| floor_i``, as the scalar path refuses only a
         variance that is not positive."""
-        v_w = _quad(moments.cov, weights.w)
+        v_w = moments.portfolio_variance(weights.w)
         floor = (moments.floor * np.abs(weights.w)).sum(axis=1)
         return _predictive(moments, weights, v_w, np.full(moments.days, np.inf),
                            v_w > (_FLOOR_MARGIN * floor) ** 2)

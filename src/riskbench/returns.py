@@ -31,9 +31,16 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
-# Days per block of the rolling moment pass. A block centres a (days, k, n)
-# copy of its windows, so this bounds that temporary for long windows.
-_BLOCK_DAYS = 32
+# Memory budget for one segment of days of the rolling engine (see
+# backtest._day_bytes). It also caps the blocks of the moment passes.
+_SEGMENT_BYTES = 1 << 20
+# Most days per block of the shifted moment pass (see _block_days).
+_BLOCK_DAYS = 128
+# The drift screen of the shifted pass: a window takes the two-pass moments
+# when, in some column, the squared distance of its mean from its block's
+# shift exceeds this many times its variance (the shift is more than 8 stds
+# off). The shifted sums then cancel too much to decide the degenerate test.
+_DRIFT_RATIO = 64.0
 # A column whose std is at or below max(_DEGENERATE_ULPS, n) ulps of its
 # largest magnitude is constant up to rounding: it is degenerate. The floor
 # grows with the window length n because numpy sums a window's rows one after
@@ -184,20 +191,6 @@ def short_window_std(window: ReturnWindow, n_r: int, long_mean) -> np.ndarray:
     return np.sqrt((dev * dev).sum(axis=0) / (n_r - 1))
 
 
-def _window_blocks(columns: np.ndarray, window: int, rows: int, offset: int = 0):
-    """Yield ``(day_slice, block)`` over the evaluation days of a history
-    held as ``columns`` (``k x T``, one contiguous row per asset), in blocks
-    of ``_BLOCK_DAYS``. ``block[d]`` is ``(k, rows)``: the last ``rows`` rows
-    of day d's trailing window, contiguous along the rows so reductions
-    over them vectorize. The slices are shifted by ``offset`` days."""
-    views = sliding_window_view(columns, window, axis=1)
-    days = columns.shape[1] - window
-    for start in range(0, days, _BLOCK_DAYS):
-        stop = min(start + _BLOCK_DAYS, days)
-        yield (slice(offset + start, offset + stop),
-               views[:, start:stop, window - rows:].transpose(1, 0, 2))
-
-
 def _sliding_absmax(columns: np.ndarray, window: int) -> np.ndarray:
     """``np.abs(columns[:, d:d + window]).max(axis=1)`` for every d, as
     ``(k, T - window + 1)``.
@@ -220,14 +213,20 @@ def _sliding_absmax(columns: np.ndarray, window: int) -> np.ndarray:
 
 def _short_stds(histories, window: int, mean: np.ndarray, n_r: int) -> np.ndarray:
     """:func:`short_window_std` of every window of each of ``histories``
-    (each ``k x T``) in turn, about the window means ``mean``."""
+    (each ``k x T``) in turn, about the window means ``mean``. The days go
+    in blocks whose centred ``(days, k, n_r)`` copy fits in ``_SEGMENT_BYTES``."""
     out = np.empty_like(mean)
+    step = max(1, _SEGMENT_BYTES // (8 * mean.shape[1] * n_r))
     offset = 0
     for columns in histories:
-        for days, block in _window_blocks(columns, window, n_r, offset):
-            dev = block - mean[days, :, None]
-            out[days] = np.sqrt((dev * dev).sum(axis=2) / (n_r - 1))
-        offset += columns.shape[1] - window
+        days = columns.shape[1] - window
+        recent = sliding_window_view(columns[:, window - n_r:], n_r, axis=1)  # day d's last n_r rows
+        for start in range(0, days, step):
+            stop = min(start + step, days)
+            dev = (recent[:, start:stop].transpose(1, 0, 2)
+                   - mean[offset + start:offset + stop, :, None])
+            out[offset + start:offset + stop] = np.sqrt((dev * dev).sum(axis=2) / (n_r - 1))
+        offset += days
     return out
 
 
@@ -243,8 +242,9 @@ class RollingMoments:
     and ``floor`` the degenerate-asset threshold on it. ``pivots`` is the
     diagonal of each ``cov``'s Cholesky factor, NaN where ``cov`` is not
     positive definite. ``histories`` holds each history as ``k x T``. Every
-    value of a day depends only on that day's window, so a day has the same
-    bits however the histories are cut and stacked.
+    value of a day depends only on its own history: on its window, and the
+    covariance on the rows of its moment block (see :func:`stacked_moments`).
+    So a day has the same bits however the histories are cut and stacked.
     """
 
     histories: tuple[np.ndarray, ...]
@@ -255,6 +255,7 @@ class RollingMoments:
     floor: np.ndarray
     pivots: np.ndarray
     _short: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _variances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def days(self) -> int:
@@ -271,27 +272,98 @@ class RollingMoments:
             self._short[n_r] = _short_stds(self.histories, self.window, self.mean, n_r)
         return self._short[n_r]
 
+    def portfolio_variance(self, w: np.ndarray, n_r: int | None = None) -> np.ndarray:
+        """Every day's ``v_w = w' cov w``, or with ``n_r`` its ``v_rw``: the
+        quadratic form in ``D w``, ``D = diag(short_std(n_r) / std)``.
+        Each is computed once per weight vector and ``n_r``, as products
+        summed over each day's own rows, so its bits depend neither on the
+        other days nor on which methods ask for it."""
+        key = (w.tobytes(), n_r)
+        if key not in self._variances:
+            with np.errstate(all="ignore"):  # not finite where a std is 0; callers mask it
+                v = w if n_r is None else self.short_std(n_r) / self.std * w
+                self._variances[key] = ((self.cov * v[..., None, :]).sum(axis=-1) * v).sum(axis=-1)
+        return self._variances[key]
+
 
 def rolling_moments(returns, window: int) -> RollingMoments:
     """:func:`sample_stats`, the long-window std, the degenerate floor and
     the Cholesky pivots of the covariance of every trailing ``window``-row
     window of ``returns`` (``T x k``), for the ``T - window`` evaluation days.
-
-    Each block of days is centred on its own means before any product is
-    formed (two-pass). One-pass forms (prefix sums, sliding updates) cancel
-    catastrophically: on a constant column they leave a std far above the
-    degenerate floor, or negative variances.
+    See :func:`stacked_moments` for how they are computed.
     """
     return stacked_moments([returns], window)
 
 
-def stacked_moments(histories, window: int) -> RollingMoments:
+def _block_days(k: int, window: int) -> int:
+    """Days per block of the shifted moment pass: at most the window (so
+    the block's windows share a middle row), ``_BLOCK_DAYS``, and the
+    number of ``(k, k)`` matrices that fit in ``_SEGMENT_BYTES``. It depends
+    on ``(k, window)`` alone."""
+    return max(1, min(window, _BLOCK_DAYS, _SEGMENT_BYTES // (8 * k * k)))
+
+
+def _shifted_products(rows: np.ndarray, window: int, block: int, lo: int, hi: int):
+    """The shifted cross-products of days ``lo .. hi - 1`` of one block of
+    ``block`` days, whose first day's window is ``rows[:window]``, and the
+    shift: that window's mean.
+
+    Day j's window is its head rows ``[j, block - 1)``, the middle rows
+    ``[block - 1, window)`` that every day of the block shares, and its tail
+    rows ``[window, window + j)``. With ``y`` a row less the shift and a
+    trailing 1, day j's ``(k + 1, k + 1)`` product is ``sum y y'`` over its
+    window: the middle rows' product (one gemm), plus the sum of the head
+    rows' outer products (accumulated from the block's middle outward), plus
+    that of its tail rows (accumulated from the middle). Its top-left
+    ``(k, k)`` is ``S2``, its last column ``S1``. Each sum runs over the
+    same rows in the same order whichever days are asked for, so a day's
+    bits do not depend on ``lo`` or ``hi``.
+    """
+    k = rows.shape[1]
+    shift = rows[:window].mean(axis=0)
+    y = np.empty((window + hi - 1, k + 1))
+    np.subtract(rows[:window + hi - 1], shift, out=y[:, :k])
+    y[:, k] = 1.0
+    mid = y[block - 1:window]
+    head = np.zeros((block - lo, k + 1, k + 1))  # head[i]: rows block-1-i .. block-2
+    np.multiply(y[lo:block - 1, :, None], y[lo:block - 1, None, :], out=head[:0:-1])
+    np.cumsum(head, axis=0, out=head)
+    tail = np.zeros((hi, k + 1, k + 1))  # tail[j]: rows window .. window+j-1
+    np.multiply(y[window:, :, None], y[window:, None, :], out=tail[1:])
+    np.cumsum(tail, axis=0, out=tail)
+    middle = mid.T @ mid
+    middle = (middle + middle.T) / 2.0  # so that every day's sum is exactly symmetric
+    return (middle + head[::-1][:hi - lo]) + tail[lo:], shift
+
+
+# Moments that overflow, and factors that fail, are not finite: the estimators'
+# checks send those days to the scalar path, which decides.
+@np.errstate(over="ignore", invalid="ignore")
+def stacked_moments(histories, window: int, spans=None) -> RollingMoments:
     """:func:`rolling_moments` of each of ``histories`` (each ``T x k``,
-    all with the same ``k``), stacked along the day axis. A centred block is
-    reduced once, by its product; the std is the root of its diagonal."""
+    all with the same ``k``), stacked along the day axis. ``spans`` gives
+    the ``(start, stop)`` range of days taken from each history, all of its
+    days by default.
+
+    The covariance comes from shifted cross-products (Chan, Golub & LeVeque
+    1983): a history's days are cut into blocks of :func:`_block_days` days,
+    starting at multiples of it in the history's own day index, and each
+    block's rows are shifted by the mean of its first window. Then day d's
+    ``cov = (S2 - S1 S1' / n) / (n - 1)`` from the sums ``S1`` and ``S2``
+    of its shifted rows and their outer products (:func:`_shifted_products`).
+    A span that starts inside a block still takes the block's rows from its
+    first day, so a day has the same bits however the histories are cut and
+    stacked. The shifted sums are accurate while the shift lies within a few
+    stds of the window's mean; the drift screen (``_DRIFT_RATIO``) sends
+    every other window, such as a column that turns constant, scales down
+    or jumps in mean within the block, to the two-pass moments: the window
+    centred on its own mean, then reduced by its product. The mean is the
+    two-pass mean of each window's own rows, and the std is the root of the
+    covariance diagonal.
+    """
     window = int(window)
-    columns = []
-    for returns in histories:
+    pieces = []
+    for i, returns in enumerate(histories):
         returns = np.asarray(returns, dtype=float)
         if returns.ndim == 1:
             returns = returns[:, None]
@@ -299,32 +371,51 @@ def stacked_moments(histories, window: int) -> RollingMoments:
         if not 2 <= window < t0:
             raise ParameterError(
                 f"window {window} outside [2, {t0 - 1}] for a history of {t0} rows")
-        columns.append(np.ascontiguousarray(returns.T))
-    k = columns[0].shape[0]
-    if any(c.shape[0] != k for c in columns):
+        start, stop = (0, t0 - window) if spans is None else spans[i]
+        if not 0 <= start < stop <= t0 - window:
+            raise ParameterError(f"days [{start}, {stop}) outside the {t0 - window} days of "
+                                 f"a history of {t0} rows")
+        pieces.append((returns, start, stop))
+    k = pieces[0][0].shape[1]
+    if any(returns.shape[1] != k for returns, _, _ in pieces):
         raise DimensionError("stacked histories must have the same number of assets")
-    days = sum(c.shape[1] for c in columns) - window * len(columns)
+    block = _block_days(k, window)
+    days = sum(stop - start for _, start, stop in pieces)
     mean = np.empty((days, k))
-    cov = np.empty((days, k, k))
-    std = np.empty((days, k))
+    shift = np.empty((days, k))
+    products = np.empty((days, k + 1, k + 1))
     floor = np.empty((days, k))
-    pivots = np.empty((days, k))
+    columns, views = [], []
     offset = 0
-    for c in columns:
-        for block_days, block in _window_blocks(c, window, window, offset):
-            m = block.mean(axis=2)
-            dev = block - m[:, :, None]
-            cc = dev @ dev.transpose(0, 2, 1) / (window - 1)
-            cc = (cc + cc.transpose(0, 2, 1)) / 2.0
-            mean[block_days] = m
-            cov[block_days] = cc
-            std[block_days] = np.sqrt(np.diagonal(cc, axis1=1, axis2=2))
-            with np.errstate(invalid="ignore"):  # cholesky_lo fills a failed factor with NaN
-                factor = cholesky_lo(cc, signature="d->d")
-            pivots[block_days] = np.diagonal(factor, axis1=1, axis2=2)
-        count = c.shape[1] - window
+    for returns, start, stop in pieces:
+        first = start - start % block
+        rows = np.ascontiguousarray(returns[first:stop + window])
+        c = np.ascontiguousarray(rows[start - first:].T)
+        count = stop - start
+        windows = sliding_window_view(c, window, axis=1)[:, :count]
+        mean[offset:offset + count] = windows.mean(axis=2).T
+        for a in range(first, stop, block):
+            lo, hi = max(start - a, 0), min(stop - a, block)
+            days_of = slice(offset + a + lo - start, offset + a + hi - start)
+            products[days_of], shift[days_of] = _shifted_products(rows[a - first:], window,
+                                                                  block, lo, hi)
         floor[offset:offset + count] = _degenerate_floor(_sliding_absmax(c[:, :-1], window).T,
                                                          window)
+        columns.append(c)
+        views.append((offset, windows))
         offset += count
+    s1 = products[:, :k, k]
+    cov = (products[:, :k, :k] - s1[:, :, None] * s1[:, None, :] / window) / (window - 1)
+    drift = mean - shift
+    flagged = ~(drift * drift <= _DRIFT_RATIO * np.diagonal(cov, axis1=1, axis2=2)).all(axis=1)
+    if flagged.any():
+        for offset, windows in views:
+            days_of = np.flatnonzero(flagged[offset:offset + windows.shape[1]])
+            if days_of.size:
+                dev = windows[:, days_of].transpose(1, 0, 2) - mean[offset + days_of, :, None]
+                cc = dev @ dev.transpose(0, 2, 1) / (window - 1)
+                cov[offset + days_of] = (cc + cc.transpose(0, 2, 1)) / 2.0
+    std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    factor = cholesky_lo(cov, signature="d->d")  # NaN where cov is not positive definite
     return RollingMoments(histories=tuple(columns), window=window, mean=mean, cov=cov, std=std,
-                          floor=floor, pivots=pivots)
+                          floor=floor, pivots=np.diagonal(factor, axis1=1, axis2=2).copy())

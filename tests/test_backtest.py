@@ -23,7 +23,7 @@ from riskbench import (
     run_backtest,
     traffic_light,
 )
-from riskbench.backtest import realized_portfolio_returns
+from riskbench.backtest import estimate_arrays, realized_portfolio_returns
 
 from _oracles import exact_binomial_cdf
 
@@ -218,6 +218,20 @@ def test_non_finite_realized_return_is_a_numerical_error_naming_its_day():
         realized_portfolio_returns(returns, weights, 251)
     with pytest.raises(NumericalError, match=r"on day 300 is not finite"):
         run_backtest(returns, weights, RollingConfig(window=250), [ConstantMethod(0.05)])
+
+
+@pytest.mark.parametrize("k", [1, 5, 9, 20])
+def test_realized_returns_have_one_kernel_and_each_rows_own_bits(k):
+    rng = np.random.default_rng(k)
+    returns = rng.normal(0, 0.01, size=(300, k))
+    raw = rng.uniform(0.1, 1.0, k)
+    weights = PortfolioWeights(raw / raw.sum())
+    realized = realized_portfolio_returns(returns, weights, 251)
+    _, from_estimate, _ = estimate_arrays(returns, weights, RollingConfig(window=250), [])
+    assert realized.tobytes() == from_estimate.tobytes()
+    for start in (1, 7, 250):
+        sliced = realized_portfolio_returns(returns[start:], weights, 251 - start)
+        assert sliced.tobytes() == realized.tobytes()
 
 
 def test_run_backtest_isolates_failing_methods():

@@ -960,7 +960,7 @@ def write_returns(path, rows):
 @pytest.mark.parametrize("command, last_row, weights, message", [
     # the last day's realized return overflows; every forecast is finite
     ("estimate", (1.5e308, -1.5e308), (1.5, -0.5),
-     "numerical error: refusing to serialize non-finite value inf on {date} for asset 'return'"),
+     "numerical error: refusing to serialize non-finite value inf on {date} in column 'return'"),
     ("backtest", (1e308, 1e308), (3.0, -2.0),
      "numerical error: realized portfolio return on day 300 is not finite: "),
 ])

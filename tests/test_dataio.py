@@ -114,7 +114,7 @@ def test_write_validates_before_touching_the_file(tmp_path):
     data[1, 1] = np.nan
     data[2, 0] = np.inf
     dates = weekday_dates(dt.date(2021, 3, 1), 3)
-    with pytest.raises(NumericalError, match=r"nan on 2021-03-02 for asset 'B'"):
+    with pytest.raises(NumericalError, match=r"nan on 2021-03-02 in column 'B'"):
         write_returns_csv(path, data, ("A", "B"), dates)
     assert path.read_text() == "keep me\n"
 

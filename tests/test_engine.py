@@ -156,6 +156,19 @@ def test_vs_with_full_short_window_equals_eb_bit_for_bit():
     np.testing.assert_array_equal(vs, eb)
 
 
+def test_each_quadratic_form_is_computed_once_per_weights_and_short_window():
+    moments = rolling_moments(correlated_returns(2, 320, 3, shock_rows=30, shock=3.0), 250)
+    w = equal_weights(3).w
+    v_w = moments.portfolio_variance(w)
+    assert moments.portfolio_variance(w.copy()) is v_w
+    assert moments.portfolio_variance(w, 4) is moments.portfolio_variance(w, 4)
+    assert moments.portfolio_variance(w, 250).tobytes() == v_w.tobytes()
+    ratio = moments.short_std(4) / moments.std
+    np.testing.assert_allclose(moments.portfolio_variance(w, 4),
+                               np.einsum("di,dij,dj->d", ratio * w, moments.cov, ratio * w),
+                               rtol=1e-13)
+
+
 def _flat_column(returns, window):
     returns = returns.copy()
     returns[:, 1] = 0.0

@@ -14,7 +14,9 @@ from riskbench import (
     short_window_std,
 )
 
-from riskbench.returns import _sliding_absmax, stacked_moments
+from numpy.lib.stride_tricks import sliding_window_view
+
+from riskbench.returns import _block_days, _sliding_absmax, stacked_moments
 
 from _oracles import brute_force_cov
 
@@ -163,15 +165,16 @@ def test_sliding_absmax_equals_the_window_maximum(case):
 
 
 @st.composite
-def moment_histories(draw):
+def moment_histories(draw, windows=st.integers(2, 40), extra_days=st.integers(1, 45),
+                     counts=st.integers(1, 3)):
     """Histories of one shape whose later rows shift in mean or scale, whose
     one column turns constant, or whose one column is (nearly) collinear
     with another, and a window."""
     k = draw(st.integers(1, 6))
-    window = draw(st.integers(2, 40))
+    window = draw(windows)
     histories = []
-    for _ in range(draw(st.integers(1, 3))):
-        t0 = window + draw(st.integers(1, 45))
+    for _ in range(draw(counts)):
+        t0 = window + draw(extra_days)
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         data = rng.normal(rng.normal(0, 0.001, k), 0.01, (t0, k))
         cut = draw(st.integers(0, t0 - 1))
@@ -218,3 +221,90 @@ def test_stacked_moments_match_the_two_pass_reference(case):
                     <= 1e-12 * (np.abs(stats.mean) + std)).all()
             day += 1
     assert day == moments.days
+
+
+def two_pass_moments(data, window):
+    """The mean and covariance of every window of ``data`` (``T x k``) as
+    the two-pass moments compute them: each window centred on its own mean,
+    then reduced by its product and symmetrized."""
+    views = sliding_window_view(np.ascontiguousarray(data.T), window, axis=1)[:, :-1]
+    views = views.transpose(1, 0, 2)
+    mean = views.mean(axis=2)
+    dev = views - mean[:, :, None]
+    cov = dev @ dev.transpose(0, 2, 1) / (window - 1)
+    return mean, (cov + cov.transpose(0, 2, 1)) / 2.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(moment_histories(windows=st.integers(120, 500), extra_days=st.integers(1, 300),
+                        counts=st.integers(1, 2)))
+def test_shifted_moments_match_the_two_pass_moments_at_cli_windows(case):
+    # Windows of CLI length span several blocks of the shifted pass, so a
+    # block's shift lies far from the means of its later windows whenever a
+    # column shifts, scales or turns constant inside it.
+    histories, window = case
+    moments = stacked_moments(histories, window)
+    assert moments.cov.tobytes() == moments.cov.transpose(0, 2, 1).tobytes()
+    day = 0
+    for data in histories:
+        mean, cov = two_pass_moments(data, window)
+        days = len(mean)
+        np.testing.assert_array_equal(moments.mean[day:day + days], mean)
+        std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+        rows = sliding_window_view(data, window, axis=0)[:-1]
+        constant = (rows == rows[:, :, :1]).all(axis=2)
+        got = moments.std[day:day + days]
+        assert (got[constant] <= 2 * moments.floor[day:day + days][constant]).all()
+        live = ~constant
+        tol = 1e-12 * std[:, :, None] * std[:, None, :]
+        both = live[:, :, None] & live[:, None, :]
+        assert (np.abs(moments.cov[day:day + days] - cov) <= tol)[both].all()
+        assert (np.abs(got - std) <= 1e-12 * std)[live].all()
+        day += days
+    assert day == moments.days
+
+
+def test_windows_the_drift_screen_flags_keep_the_two_pass_bits():
+    # Window 250 cuts a history into blocks of 128 days. From row 300 one
+    # column of the first history is constant, and every column of the
+    # second shrinks a thousandfold: the block of days 256-383 is shifted by
+    # the mean of rows 256-505, far (in stds) from the means of its windows
+    # that start at row 300 or later, so the screen sends those to the
+    # two-pass moments.
+    window = 250
+    rng = np.random.default_rng(11)
+    late_constant = rng.normal(0.002, 0.01, (window + 400, 3))
+    late_constant[300:, 1] = 0.0123
+    scale_shift = rng.normal(0.002, 0.01, (window + 400, 3))
+    scale_shift[300:] *= 1e-3
+    assert _block_days(3, window) == 128
+    moments = stacked_moments([late_constant, scale_shift], window)
+    flagged = np.arange(300, 384)
+    for i, data in enumerate((late_constant, scale_shift)):
+        mean, cov = two_pass_moments(data, window)
+        np.testing.assert_array_equal(moments.mean[400 * i:400 * (i + 1)], mean)
+        np.testing.assert_array_equal(moments.cov[400 * i + flagged], cov[flagged])
+        # the days before the change come from the shifted sums
+        assert (moments.cov[400 * i:400 * i + 50] != cov[:50]).any()
+
+
+@pytest.mark.parametrize("start, stop", [(1, 40), (127, 300), (129, 130), (200, 400)])
+def test_a_span_inside_a_block_has_the_bits_of_the_whole_history(start, stop):
+    window = 250
+    rng = np.random.default_rng(start)
+    data = rng.normal(0.001, 0.01, (window + 400, 3))
+    data[330:, 2] = -0.02  # days 330-383 of its block are flagged
+    whole = stacked_moments([data], window)
+    stacked = stacked_moments([rng.normal(0, 0.01, (window + 9, 3)), data], window,
+                              [(2, 7), (start, stop)])
+    for name in ("mean", "cov", "std", "floor", "pivots"):
+        assert (getattr(stacked, name)[5:].tobytes()
+                == getattr(whole, name)[start:stop].tobytes()), name
+    assert stacked.short_std(4)[5:].tobytes() == whole.short_std(4)[start:stop].tobytes()
+
+
+def test_spans_outside_the_history_are_refused():
+    data = np.random.default_rng(0).normal(0, 0.01, (30, 2))
+    for span in [(0, 0), (-1, 3), (5, 21)]:
+        with pytest.raises(ParameterError, match="outside the 20 days"):
+            stacked_moments([data], 10, [span])
