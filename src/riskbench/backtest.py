@@ -10,9 +10,9 @@ k)``, ``batch_predictive`` and ``day_predictive``. One driver serves
 ``run_backtests``) and checks preconditions once per run: each method's
 ``validate`` once, and each history's length against the window. The
 histories' evaluation days, history after history, form one day axis, cut
-into memory-bounded segments that may span several histories.
-The moments of every trailing window of a segment are computed in one pass
-(:func:`stacked_moments`) and shared by all methods; each method's
+into memory-bounded segments of whole moment blocks that may span several
+histories. The moments of every trailing window of a segment are computed in
+one pass (:func:`stacked_moments`) and shared by all methods; each method's
 ``batch_predictive`` maps them to predictive ``(location, scale, df)``
 arrays, and one call prices all methods, once per segment. A day's forecast
 has the same bits however the histories are stacked and cut. The scalar
@@ -45,7 +45,7 @@ import numpy as np
 
 from .conjugate import RiskEstimate, RiskMeasure, _predictive_risk, _require_cvar_df
 from .errors import DimensionError, NumericalError, ParameterError, ValidationError
-from .returns import _SEGMENT_BYTES, PortfolioWeights, ReturnWindow, stacked_moments
+from .returns import _SEGMENT_BYTES, PortfolioWeights, ReturnWindow, _block_days, stacked_moments
 
 __all__ = [
     "Zone",
@@ -69,10 +69,10 @@ RED_THRESHOLD = 0.9999
 # The highest VaR level a rolling run accepts: up to it the t quantile is
 # tested against an independent reference within 1e-12 relative.
 MAX_LEVEL = 0.9999
-# A segment of days fits in _SEGMENT_BYTES. A day's share (see _day_bytes) is
-# its (k, k) covariance, about ten (k,) vectors and thirty scalars across the
-# moments and the estimators' temporaries: at k = 5 a segment holds 1,248 days
-# (five of the README backtest's replications), at k = 50 it holds 43.
+# A segment of whole moment blocks fits in _SEGMENT_BYTES, a day's share being
+# its (k, k) covariance and about ten (k,) vectors and thirty scalars (see
+# _day_bytes): at k = 5 the README backtest's 128- and 122-day blocks fill 1,248
+# days to 1,128. It holds at least one block: at k = 50 one of 52 days, 1.2 MiB.
 
 
 def _day_bytes(k: int) -> int:
@@ -174,11 +174,12 @@ def _day_by_day(returns, weights, cfg: RollingConfig, method, measures, out, ass
 
 def _fit_segment(pieces, batched, weights, cfg: RollingConfig, methods, measures) -> None:
     """Fit one segment: ``pieces`` are ``(values, returns, start, stop)`` day
-    ranges of histories, whose moments are stacked so that each of the
+    ranges of histories, each starting at a moment block, whose rows
+    ``returns[start:stop + window]`` are stacked so that each of the
     ``batched`` methods runs once on all of them and one call prices all
     their predictives into the histories' ``values``."""
-    moments = stacked_moments([returns for _, returns, _, _ in pieces], cfg.window,
-                              [(start, stop) for _, _, start, stop in pieces])
+    moments = stacked_moments([returns[start:stop + cfg.window]
+                               for _, returns, start, stop in pieces], cfg.window)
     records = [methods[j].batch_predictive(moments, weights) for j in batched]
     priced = _predictive_risk(*map(np.concatenate, zip(*records)), cfg.levels, measures)
     bounds = np.cumsum([stop - start for _, _, start, stop in pieces])[:-1]
@@ -195,13 +196,14 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
 
     Each method's ``validate(window, k)`` runs once per call (``weights``
     pin k); a history no longer than the window fails every method. The
-    batched days of all histories, in order, form one day axis, cut into
-    segments of as many days as fit in ``_SEGMENT_BYTES``; a segment may
-    span several histories. Each segment's moments are computed once and
-    shared by every method's ``batch_predictive``, which runs once per
-    segment. A history is handed back, with the days left NaN priced on the
-    scalar path within it, as soon as its last segment is fitted, so no more
-    histories are held than the current segment spans.
+    batched days of all histories, in order, form one day axis of each
+    history's moment blocks (:func:`_block_days`, the last maybe shorter).
+    A segment takes as many whole blocks as fit in ``_SEGMENT_BYTES``, at
+    least one, and may span several histories; its moments are shared by
+    every method's ``batch_predictive``, which runs once per segment. A
+    history is handed back, with its NaN days priced on the scalar path, once
+    its last segment is fitted: only that segment's histories and the next
+    are held.
     """
     checks = []
     for method in methods:
@@ -211,7 +213,8 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
         except (ValidationError, ArithmeticError) as exc:
             checks.append((-1, exc))
     batched = [j for j, failed in enumerate(checks) if failed is None]
-    step = max(1, _SEGMENT_BYTES // _day_bytes(weights.k))
+    step = _SEGMENT_BYTES // _day_bytes(weights.k)
+    block = _block_days(weights.k, cfg.window)
 
     def finish():
         values, returns = pending.popleft()
@@ -228,16 +231,18 @@ def _forecasts(histories, weights, cfg: RollingConfig, methods, measures, asset_
         values = [too_short or failed or np.full((days, len(cfg.levels), len(measures)), np.nan)
                   for failed in checks]
         pending.append((values, returns))
-        day = 0
-        while batched and day < days:
-            take = min(room, days - day)
-            pieces.append((values, returns, day, day + take))
-            day, room = day + take, room - take
-            if not room:
+        for day in range(0, days if batched else 0, block):
+            size = min(block, days - day)
+            if pieces and size > room:  # a segment takes whole blocks, at least one
                 _fit_segment(pieces, batched, weights, cfg, methods, measures)
                 pieces, room = [], step
                 while pending[0][0] is not values:
                     yield finish()
+            if pieces and pieces[-1][0] is values:
+                pieces[-1][3] += size
+            else:
+                pieces.append([values, returns, day, day + size])
+            room -= size
         while pending and not (pieces and pieces[0][0] is pending[0][0]):
             yield finish()
     if pieces:

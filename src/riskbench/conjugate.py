@@ -99,8 +99,8 @@ class PredictiveParams:
     def __post_init__(self):
         if not self.df > 0:
             raise DegreesOfFreedomError(f"predictive degrees of freedom must be positive, got {self.df!r}")
-        if not self.scale > 0:
-            raise NumericalError(f"predictive scale must be positive, got {self.scale!r}")
+        if not 0 < self.scale < math.inf:
+            raise NumericalError(f"predictive scale must be positive and finite, got {self.scale!r}")
         object.__setattr__(self, "location", float(self.location))
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "df", float(self.df))

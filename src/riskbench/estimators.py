@@ -46,10 +46,10 @@ _PIVOT_RTOL = 1e-8
 
 def _predictive(moments: RollingMoments, weights: PortfolioWeights, scale_sq, df, ok):
     """The ``(location, scale, df)`` of every day, NaN on the days that fail
-    ``ok`` or whose ``scale_sq`` or ``df`` is not positive. The location
-    ``w' mean`` is summed over each day's own row, as in ``w' cov w``
-    (:meth:`RollingMoments.portfolio_variance`)."""
-    ok = ok & (scale_sq > 0) & (df > 0)
+    ``ok``, whose ``scale_sq`` is not positive and finite or whose ``df`` is
+    not positive. The location ``w' mean`` is summed over each day's own
+    row, as in ``w' cov w`` (:meth:`RollingMoments.portfolio_variance`)."""
+    ok = ok & (0 < scale_sq) & (scale_sq < np.inf) & (df > 0)
     location = (moments.mean * weights.w).sum(axis=1)
     return tuple(np.where(ok, x, np.nan) for x in (location, np.sqrt(scale_sq), df))
 
@@ -191,7 +191,8 @@ class SampleNormal(_Estimator):
         if weights.k != window.k:
             raise DimensionError(f"weights have {weights.k} entries, window has {window.k} assets")
         stats = sample_stats(window)
-        variance = float(weights.w @ stats.cov @ weights.w)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            variance = float(weights.w @ stats.cov @ weights.w)
         if not variance > 0:
             raise NumericalError("degenerate portfolio variance in sample estimator")
         return PredictiveParams(float(weights.w @ stats.mean), math.sqrt(variance), math.inf)

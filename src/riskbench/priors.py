@@ -128,11 +128,11 @@ def vs_hyperparams(
             f"asset '{window.asset_ids[zero[0]]}' has zero variance over the window"
         )
     sigma_r = short_window_std(window, cfg.n_r, stats.mean)
-    ratio = sigma_r / sigma
-    cov_recent = stats.cov * np.outer(ratio, ratio)
-
-    v_w = float(weights.w @ stats.cov @ weights.w)
-    v_rw = float(weights.w @ cov_recent @ weights.w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        ratio = sigma_r / sigma
+        cov_recent = stats.cov * np.outer(ratio, ratio)
+        v_w = float(weights.w @ stats.cov @ weights.w)
+        v_rw = float(weights.w @ cov_recent @ weights.w)
     if not v_w > 0:
         raise NumericalError("long-term portfolio variance is not positive")
     if not v_rw > 0 and cfg.l != 0:

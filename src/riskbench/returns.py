@@ -157,12 +157,14 @@ def sample_stats(window: ReturnWindow) -> SampleStats:
 
     The covariance uses divisor ``n - 1``; it is explicitly symmetrized so the
     result is symmetric to machine precision regardless of BLAS rounding.
+    Where it overflows it is not finite, and the callers' checks refuse it.
     """
     data = window.data
     n = window.n
     mean = data.mean(axis=0)
     centered = data - mean
-    cov = centered.T @ centered / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0
     std = np.sqrt(np.diag(cov))
     return SampleStats(mean=mean, cov=cov, std=std)
@@ -188,7 +190,8 @@ def short_window_std(window: ReturnWindow, n_r: int, long_mean) -> np.ndarray:
         raise DimensionError(f"long mean has {long_mean.size} entries, window has {window.k} assets")
     recent = window.data[window.n - n_r:]
     dev = recent - long_mean
-    return np.sqrt((dev * dev).sum(axis=0) / (n_r - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf where it overflows
+        return np.sqrt((dev * dev).sum(axis=0) / (n_r - 1))
 
 
 def _sliding_absmax(columns: np.ndarray, window: int) -> np.ndarray:
@@ -244,7 +247,8 @@ class RollingMoments:
     positive definite. ``histories`` holds each history as ``k x T``. Every
     value of a day depends only on its own history: on its window, and the
     covariance on the rows of its moment block (see :func:`stacked_moments`).
-    So a day has the same bits however the histories are cut and stacked.
+    So a day has the same bits however the histories are stacked and
+    wherever they are cut at a block start.
     """
 
     histories: tuple[np.ndarray, ...]
@@ -303,8 +307,8 @@ def _block_days(k: int, window: int) -> int:
     return max(1, min(window, _BLOCK_DAYS, _SEGMENT_BYTES // (8 * k * k)))
 
 
-def _shifted_products(rows: np.ndarray, window: int, block: int, lo: int, hi: int):
-    """The shifted cross-products of days ``lo .. hi - 1`` of one block of
+def _shifted_products(rows: np.ndarray, window: int, block: int, days: int):
+    """The shifted cross-products of the first ``days`` days of one block of
     ``block`` days, whose first day's window is ``rows[:window]``, and the
     shift: that window's mean.
 
@@ -315,46 +319,43 @@ def _shifted_products(rows: np.ndarray, window: int, block: int, lo: int, hi: in
     window: the middle rows' product (one gemm), plus the sum of the head
     rows' outer products (accumulated from the block's middle outward), plus
     that of its tail rows (accumulated from the middle). Its top-left
-    ``(k, k)`` is ``S2``, its last column ``S1``. Each sum runs over the
-    same rows in the same order whichever days are asked for, so a day's
-    bits do not depend on ``lo`` or ``hi``.
+    ``(k, k)`` is ``S2``, its last column ``S1``. A history's last block may
+    hold fewer than ``block`` days; it keeps the whole head, so each sum runs
+    over the same rows in the same order however many days are asked for.
     """
     k = rows.shape[1]
     shift = rows[:window].mean(axis=0)
-    y = np.empty((window + hi - 1, k + 1))
-    np.subtract(rows[:window + hi - 1], shift, out=y[:, :k])
+    y = np.empty((window + days - 1, k + 1))
+    np.subtract(rows[:window + days - 1], shift, out=y[:, :k])
     y[:, k] = 1.0
     mid = y[block - 1:window]
-    head = np.zeros((block - lo, k + 1, k + 1))  # head[i]: rows block-1-i .. block-2
-    np.multiply(y[lo:block - 1, :, None], y[lo:block - 1, None, :], out=head[:0:-1])
+    head = np.zeros((block, k + 1, k + 1))  # head[i]: rows block-1-i .. block-2
+    np.multiply(y[:block - 1, :, None], y[:block - 1, None, :], out=head[:0:-1])
     np.cumsum(head, axis=0, out=head)
-    tail = np.zeros((hi, k + 1, k + 1))  # tail[j]: rows window .. window+j-1
+    tail = np.zeros((days, k + 1, k + 1))  # tail[j]: rows window .. window+j-1
     np.multiply(y[window:, :, None], y[window:, None, :], out=tail[1:])
     np.cumsum(tail, axis=0, out=tail)
     middle = mid.T @ mid
     middle = (middle + middle.T) / 2.0  # so that every day's sum is exactly symmetric
-    return (middle + head[::-1][:hi - lo]) + tail[lo:], shift
+    return (middle + head[::-1][:days]) + tail, shift
 
 
 # Moments that overflow, and factors that fail, are not finite: the estimators'
 # checks send those days to the scalar path, which decides.
 @np.errstate(over="ignore", invalid="ignore")
-def stacked_moments(histories, window: int, spans=None) -> RollingMoments:
+def stacked_moments(histories, window: int) -> RollingMoments:
     """:func:`rolling_moments` of each of ``histories`` (each ``T x k``,
-    all with the same ``k``), stacked along the day axis. ``spans`` gives
-    the ``(start, stop)`` range of days taken from each history, all of its
-    days by default.
+    all with the same ``k``), stacked along the day axis.
 
     The covariance comes from shifted cross-products (Chan, Golub & LeVeque
-    1983): a history's days are cut into blocks of :func:`_block_days` days,
-    starting at multiples of it in the history's own day index, and each
-    block's rows are shifted by the mean of its first window. Then day d's
-    ``cov = (S2 - S1 S1' / n) / (n - 1)`` from the sums ``S1`` and ``S2``
-    of its shifted rows and their outer products (:func:`_shifted_products`).
-    A span that starts inside a block still takes the block's rows from its
-    first day, so a day has the same bits however the histories are cut and
-    stacked. The shifted sums are accurate while the shift lies within a few
-    stds of the window's mean; the drift screen (``_DRIFT_RATIO``) sends
+    1983): a history's days are cut into blocks of :func:`_block_days` days
+    from its first day, and each block's rows are shifted by the mean of its
+    first window. Then day d's ``cov = (S2 - S1 S1' / n) / (n - 1)`` from
+    the sums ``S1`` and ``S2`` of its shifted rows and their outer products
+    (:func:`_shifted_products`). So a day has the same bits in a history as
+    in any slice of it that starts at a block start, however the histories
+    are stacked. The shifted sums are accurate while the shift lies within a
+    few stds of the window's mean; the drift screen (``_DRIFT_RATIO``) sends
     every other window, such as a column that turns constant, scales down
     or jumps in mean within the block, to the two-pass moments: the window
     centred on its own mean, then reduced by its product. The mean is the
@@ -363,7 +364,7 @@ def stacked_moments(histories, window: int, spans=None) -> RollingMoments:
     """
     window = int(window)
     pieces = []
-    for i, returns in enumerate(histories):
+    for returns in histories:
         returns = np.asarray(returns, dtype=float)
         if returns.ndim == 1:
             returns = returns[:, None]
@@ -371,34 +372,27 @@ def stacked_moments(histories, window: int, spans=None) -> RollingMoments:
         if not 2 <= window < t0:
             raise ParameterError(
                 f"window {window} outside [2, {t0 - 1}] for a history of {t0} rows")
-        start, stop = (0, t0 - window) if spans is None else spans[i]
-        if not 0 <= start < stop <= t0 - window:
-            raise ParameterError(f"days [{start}, {stop}) outside the {t0 - window} days of "
-                                 f"a history of {t0} rows")
-        pieces.append((returns, start, stop))
-    k = pieces[0][0].shape[1]
-    if any(returns.shape[1] != k for returns, _, _ in pieces):
+        pieces.append(np.ascontiguousarray(returns))
+    k = pieces[0].shape[1]
+    if any(rows.shape[1] != k for rows in pieces):
         raise DimensionError("stacked histories must have the same number of assets")
     block = _block_days(k, window)
-    days = sum(stop - start for _, start, stop in pieces)
+    days = sum(rows.shape[0] - window for rows in pieces)
     mean = np.empty((days, k))
     shift = np.empty((days, k))
     products = np.empty((days, k + 1, k + 1))
     floor = np.empty((days, k))
     columns, views = [], []
     offset = 0
-    for returns, start, stop in pieces:
-        first = start - start % block
-        rows = np.ascontiguousarray(returns[first:stop + window])
-        c = np.ascontiguousarray(rows[start - first:].T)
-        count = stop - start
+    for rows in pieces:
+        c = np.ascontiguousarray(rows.T)
+        count = rows.shape[0] - window
         windows = sliding_window_view(c, window, axis=1)[:, :count]
         mean[offset:offset + count] = windows.mean(axis=2).T
-        for a in range(first, stop, block):
-            lo, hi = max(start - a, 0), min(stop - a, block)
-            days_of = slice(offset + a + lo - start, offset + a + hi - start)
-            products[days_of], shift[days_of] = _shifted_products(rows[a - first:], window,
-                                                                  block, lo, hi)
+        for a in range(0, count, block):
+            size = min(block, count - a)
+            days_of = slice(offset + a, offset + a + size)
+            products[days_of], shift[days_of] = _shifted_products(rows[a:], window, block, size)
         floor[offset:offset + count] = _degenerate_floor(_sliding_absmax(c[:, :-1], window).T,
                                                          window)
         columns.append(c)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -977,6 +978,41 @@ def test_non_finite_realized_return_exits_4_and_writes_nothing(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith(message.format(date=date)) and captured.err.count("\n") == 1
     assert captured.out == "" and not out.exists()
+
+
+def write_overflowing_returns(path):
+    """300 days of 3 assets whose first column is 1e160 times larger from
+    day 101: the covariance of every window that reaches it overflows."""
+    rows = np.random.default_rng(0).normal(0, 0.01, (300, 3))
+    rows[100:, 0] *= 1e160
+    write_returns(path, rows)
+
+
+def test_an_overflowing_scalar_fit_warns_nothing_before_its_named_error(tmp_path, capsys):
+    # vs and eb leave those days to the scalar path, whose own checks decide
+    write_overflowing_returns(tmp_path / "r.csv")
+    out = tmp_path / "series.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("estimate", "--input", str(tmp_path / "r.csv"), "--window", "60",
+                       "--method", "vs(4,2,0)", "--out", str(out)) == 4
+    assert capsys.readouterr().err == (
+        "numerical error: prior scale matrix overflows at prior degrees of freedom d0 = 60.0\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "backtest"])
+def test_an_infinite_predictive_scale_is_a_numerical_error(tmp_path, capsys, command):
+    # sample's portfolio variance overflows to inf: no such forecast is scored
+    write_overflowing_returns(tmp_path / "r.csv")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(command, "--input", str(tmp_path / "r.csv"), "--window", "60",
+                       "--method", "sample", "--out", str(out)) == 4
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == "numerical error: predictive scale must be positive and finite, got inf"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, key", [

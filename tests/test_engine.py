@@ -197,18 +197,34 @@ def _segment_days(monkeypatch, days, k):
     monkeypatch.setattr(backtest, "_SEGMENT_BYTES", days * backtest._day_bytes(k))
 
 
+def recording_segments():
+    """A ``_fit_segment`` that records the ``(start, stop)`` days of each
+    segment's pieces, one list per call."""
+    segments, fit = [], backtest._fit_segment
+
+    def recording(pieces, *args):
+        segments.append([(start, stop) for _, _, start, stop in pieces])
+        return fit(pieces, *args)
+
+    return segments, mock.patch.object(backtest, "_fit_segment", recording)
+
+
 @pytest.mark.parametrize("make", [_flat_column, _vanishing_recent_column, _late_flat_column])
 def test_errors_match_scalar_path_and_spare_other_methods(make, monkeypatch):
-    _segment_days(monkeypatch, 7, 3)
-    window = 60
-    returns = make(correlated_returns(3, window + 20, 3), window)
+    # 50 days in blocks of 10, two blocks to a segment of 25 days
+    _segment_days(monkeypatch, 25, 3)
+    window = 10
+    returns = make(correlated_returns(3, window + 50, 3), window)
     ids = ("X", "FLAT", "Z")
     weights = equal_weights(3)
     methods = [VolatilitySensitive(4, 2.0, 0.0), EmpiricalBayes(), SampleNormal()]
     cfg = RollingConfig(window=window, levels=(0.975, 0.99))
     expected = {m.label: scalar_first_error(returns, weights, window, m, ids) for m in methods}
     assert isinstance(expected["vs(4,2,0)"], NumericalError)
-    reports, failures = run_backtest(returns, weights, cfg, methods, ids)
+    segments, patch = recording_segments()
+    with patch:
+        reports, failures = run_backtest(returns, weights, cfg, methods, ids)
+    assert segments == [[(0, 20)], [(20, 40)], [(40, 50)]]
     failed = {label: exc for label, exc in failures}
     for label, ref in expected.items():
         if ref is None:
@@ -254,13 +270,20 @@ def test_estimate_series_raises_the_earliest_days_error(shock_day, winner):
 
 
 def test_segmented_days_match_one_segment(monkeypatch):
-    returns = correlated_returns(5, 90, 3, shock_rows=20, shock=3.0)
+    # 50 days in blocks of 10 days, the shocks in the last two
+    returns = correlated_returns(5, 60, 3, shock_rows=20, shock=3.0)
     weights = equal_weights(3)
-    cfg = RollingConfig(window=60, levels=(0.975, 0.99))
+    cfg = RollingConfig(window=10, levels=(0.975, 0.99))
+    assert backtest._block_days(3, cfg.window) == 10
     methods = [VolatilitySensitive(4, 2.0, 1.0), EmpiricalBayes(), SampleNormal()]
     whole = estimate_series(returns, weights, cfg, methods)
-    _segment_days(monkeypatch, 7, 3)
-    assert estimate_series(returns, weights, cfg, methods) == whole
+    for segment_days, cuts in [(7, [0, 10, 20, 30, 40, 50]),  # at least one block
+                               (25, [0, 20, 40, 50]), (39, [0, 30, 50])]:
+        _segment_days(monkeypatch, segment_days, 3)
+        segments, patch = recording_segments()
+        with patch:
+            assert estimate_series(returns, weights, cfg, methods) == whole
+        assert segments == [[piece] for piece in zip(cuts, cuts[1:])]
 
 
 def test_flat_column_error_names_the_asset():
@@ -542,15 +565,18 @@ PINNED_EXCEEDANCES = {
 
 
 def test_readme_backtest_fits_once_per_segment(tmp_path):
-    # 20 replications of 250 days are 5,000 days: four segments of 1,248 days
-    # and one of 8 at k = 5. One pricing call per segment solves the t
-    # quantiles of all methods (15 calls when each conjugate method priced
-    # itself, 60 when each replication was fitted alone), and the two
-    # vs(4, ...) methods share one short-window std per segment (40 before).
+    # 20 replications of 250 days are 40 moment blocks of 128 and 122 days at
+    # k = 5: four segments of 1,128 days (nine blocks), and one of 488. One
+    # pricing call per segment solves the t quantiles of all methods (15
+    # calls when each conjugate method priced itself, 60 when each
+    # replication was fitted alone), the two vs(4, ...) methods share one
+    # short-window std per segment (40 before), and each block's shifted
+    # products are formed once (44 when segments cut blocks).
     import riskbench.conjugate
     import riskbench.returns
 
-    counts = {"t_quantiles": 0, "short_std": 0}
+    assert riskbench.returns._block_days(5, 250) == 128
+    counts = {"t_quantiles": 0, "short_std": 0, "block": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -561,12 +587,14 @@ def test_readme_backtest_fits_once_per_segment(tmp_path):
     with mock.patch.object(riskbench.conjugate, "t_quantiles",
                            counting("t_quantiles", riskbench.conjugate.t_quantiles)), \
             mock.patch.object(riskbench.returns, "_short_stds",
-                              counting("short_std", riskbench.returns._short_stds)):
+                              counting("short_std", riskbench.returns._short_stds)), \
+            mock.patch.object(riskbench.returns, "_shifted_products",
+                              counting("block", riskbench.returns._shifted_products)):
         assert cli_main(["backtest", "--scenario", "pmvn", "--k", "5", "--t", "500",
                          "--window", "250", "--alpha", "0.975,0.99", "--replications", "20",
                          *(f"--method={m}" for m in DEFAULT_METHODS), "--seed", "0",
                          "--out", str(tmp_path)]) == 0
-    assert counts == {"t_quantiles": 5, "short_std": 5}
+    assert counts == {"t_quantiles": 5, "short_std": 5, "block": 40}
 
 
 def test_pinned_exceedance_counts(tmp_path):
@@ -593,12 +621,13 @@ def _near_floor_last_column(returns, window, seed):
 def stacking_cases(draw):
     """Replications of one shape, some with a column near the degenerate
     floor (days the batched checks leave to the scalar path) or flat over a
-    whole window (vs and eb fail outright), and a segment length."""
+    whole window (vs and eb fail outright), and a segment length. A history
+    spans up to three moment blocks, of ``window`` days each."""
     k = draw(st.integers(1, 9))  # reaches k >= 8, where BLAS gemv would round a row by its position
     window = draw(st.integers(k + 4, 30))
     histories = []
     for _ in range(draw(st.integers(1, 5))):
-        days = draw(st.integers(1, 12))
+        days = draw(st.integers(1, 3 * window))
         returns = correlated_returns(draw(st.integers(0, 2**32 - 1)), window + days, k,
                                      shock_rows=draw(st.integers(0, 10)),
                                      shock=draw(st.floats(0.2, 5.0)))
@@ -633,13 +662,20 @@ def test_stacked_replications_match_each_fitted_alone(case):
              for h in histories
              for _, results in backtest._forecasts([h], weights, cfg, methods, (VAR, CVAR), None)]
     reports = [report_bits(*run_backtest(h, weights, cfg, methods)) for h in histories]
-    with mock.patch.object(backtest, "_SEGMENT_BYTES", segment_days * backtest._day_bytes(k)):
+    segments, patch = recording_segments()
+    with mock.patch.object(backtest, "_SEGMENT_BYTES", segment_days * backtest._day_bytes(k)), \
+            patch:
         stacked = [forecast_bits(results) for _, results in backtest._forecasts(
             iter(histories), weights, cfg, methods, (VAR, CVAR), None)]
         stacked_reports = [report_bits(*r) for r in backtest.run_backtests(
             iter(histories), weights, cfg, methods)]
     assert stacked == alone
     assert stacked_reports == reports
+    # every piece starts at a block; a segment of more than one block fits
+    block = backtest._block_days(k, cfg.window)
+    assert all(start % block == 0 for pieces in segments for start, _ in pieces)
+    assert all(sum(stop - start for start, stop in pieces) <= max(segment_days, block)
+               for pieces in segments)
 
 
 @settings(max_examples=60, deadline=None)
@@ -687,16 +723,20 @@ def test_each_method_is_validated_once_per_run():
 
 @pytest.mark.parametrize("segment_days", [3, 1000])
 def test_a_history_no_longer_than_the_window_fails_every_method(segment_days):
-    window, k = 20, 3
+    # the two longer histories hold 5 and 3 blocks of 10 days
+    window, k = 10, 3
     weights, cfg = equal_weights(k), RollingConfig(window=window)
     methods = parse_methods(DEFAULT_METHODS + ["eb(4,n)"])
-    histories = [correlated_returns(1, window + 9, k), correlated_returns(2, window, k),
-                 correlated_returns(3, window + 4, k)]
+    histories = [correlated_returns(1, window + 45, k), correlated_returns(2, window, k),
+                 correlated_returns(3, window + 24, k)]
     alone = [report_bits(*run_backtest(h, weights, cfg, methods)) for h in histories]
-    with mock.patch.object(backtest, "_SEGMENT_BYTES", segment_days * backtest._day_bytes(k)):
+    fits, patch = recording_segments()
+    with mock.patch.object(backtest, "_SEGMENT_BYTES", segment_days * backtest._day_bytes(k)), \
+            patch:
         stacked = [report_bits(*r) for r in backtest.run_backtests(iter(histories), weights, cfg,
                                                                    methods)]
     assert stacked == alone
+    assert len(fits) == {3: 8, 1000: 1}[segment_days]  # blocks alone, or one segment
     message = f"history length {window} must exceed the rolling window {window}"
     assert stacked[1] == ([], [(m.label, ValidationError, message) for m in methods])
     assert all(reports for reports, _ in (stacked[0], stacked[2]))
